@@ -169,8 +169,6 @@ def cmd_embed(args) -> dict:
         report = embedding.z_membership(embedding.zeta(big, w))
         return report.to_json()
     if check == "equivariance":
-        import random as _random
-
         from .setting import act, compose_group, random_reductive, random_unipotent
 
         rng_seeds = range(args.seed, args.seed + 20)
@@ -190,7 +188,6 @@ def cmd_embed(args) -> dict:
             ok += (lhs.gamma == rhs.gamma
                    and all(lhs.x[i] == rhs.x[i] for i in lhs.x)
                    and all(lhs.y[l] == rhs.y[l] for l in lhs.y))
-        _ = _random
         return {"schema": "1", "check": "equivariance", "trials": 20, "passed": ok}
     raise SchemaError(f"unknown embed check {check!r}")
 

@@ -16,7 +16,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, ZERO, RatMatrix, kron_identity_right, stack_columns
+from .exact import (ONE, ZERO, RatMatrix, identity_kron_mul, kron, kron_identity_mul,
+                    kron_identity_right, mul_identity_kron, mul_kron_identity,
+                    stack_columns)
 from .polarization import AssociatedPolarization, big_dims
 from .setting import (CompositionSystem, GroupElement, MorphismElement,
                       SchemaError)
@@ -237,11 +239,10 @@ def big_act(big: BigSetting, th: tuple[list[RatMatrix], list[RatMatrix]],
     left, right = th
     left_inv = [m.inverse() for m in left]
     right_s = right[sys.s - 1]
-    x = {i: left[i - 2] * bw.x[i] * kron_identity_right(left_inv[i - 1], sys.a(i, i - 1))
+    x = {i: mul_kron_identity(left[i - 2] * bw.x[i], left_inv[i - 1], sys.a(i, i - 1))
          for i in bw.x}
-    gamma = right_s * bw.gamma * kron_identity_right(left_inv[0], sys.h(sys.s, 1))
-    y = {l: right[l - 1] * bw.y[l] * kron_identity_right(right[l].inverse(),
-                                                         sys.b(l + 1, l))
+    gamma = mul_kron_identity(right_s * bw.gamma, left_inv[0], sys.h(sys.s, 1))
+    y = {l: mul_kron_identity(right[l - 1] * bw.y[l], right[l].inverse(), sys.b(l + 1, l))
          for l in bw.y}
     return BigElement(big, x, gamma, y)
 
@@ -268,18 +269,12 @@ def _factor_through_injection(c: RatMatrix, iota: RatMatrix) -> RatMatrix | None
     return sol if (iota * sol) == c else None
 
 
-def _kron_right_of(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    from .exact import kron
-
-    return kron(a, b)
-
-
 def _chain_tau_a(sys: CompositionSystem, i: int) -> RatMatrix:
     """Iterated multiplication A_{i,i-1} (x) ... (x) A_21 -> A_i1."""
     tau = RatMatrix.identity(sys.a(2, 1))
     for k in range(3, i + 1):
         step = sys.comp_aa[(k, k - 1, 1)]
-        tau = step * _kron_right_of(RatMatrix.identity(sys.a(k, k - 1)), tau)
+        tau = mul_identity_kron(step, sys.a(k, k - 1), tau)
     return tau
 
 
@@ -350,9 +345,9 @@ def z_membership(bw: BigElement) -> ZReport:
     composite = bw.x.get(2)
     tdim = sys.a(2, 1)
     for i in range(3, sys.r + 1):
-        composite = composite * _kron_right_of(bw.x[i], RatMatrix.identity(tdim))
+        composite = mul_kron_identity(composite, bw.x[i], tdim)
         tdim *= sys.a(i, i - 1)
-        pi_map = _kron_right_of(RatMatrix.identity(big.p[i - 1]), _chain_tau_a(sys, i))
+        pi_map = kron(RatMatrix.identity(big.p[i - 1]), _chain_tau_a(sys, i))
         sol = _factor_through_surjection(composite, pi_map)
         fact_ok[f"chain_left[{i}]"] = sol is not None
         if sol is not None:
@@ -366,10 +361,9 @@ def z_membership(bw: BigElement) -> ZReport:
         down = y_ls[sys.s - 1]
         prefix = sys.b(sys.s, sys.s - 1)
     for l in range(sys.s - 2, 0, -1):
-        down = _kron_right_of(RatMatrix.identity(prefix), _reshape_y(big, l, bw.y[l])) * down
+        down = identity_kron_mul(prefix, _reshape_y(big, l, bw.y[l]), down)
         prefix *= sys.b(l + 1, l)
-        iota = _kron_right_of(_chain_tau_b(sys, l).transpose(),
-                              RatMatrix.identity(big.q[l - 1]))
+        iota = kron_identity_right(_chain_tau_b(sys, l).transpose(), big.q[l - 1])
         sol = _factor_through_injection(down, iota)
         fact_ok[f"chain_right[{l}]"] = sol is not None
         if sol is not None:
@@ -379,9 +373,7 @@ def z_membership(bw: BigElement) -> ZReport:
     for i in range(2, sys.r + 1):
         if i not in x1:
             continue
-        h_s1 = sys.h(sys.s, 1)
-        comp = _kron_right_of(x1[i], RatMatrix.identity(h_s1))
-        composite_g = bw.gamma * comp
+        composite_g = mul_kron_identity(bw.gamma, x1[i], sys.h(sys.s, 1))
         sigma = _sigma_ah(sys, big, i)
         sol = _factor_through_surjection(composite_g, sigma)
         fact_ok[f"gamma_left[{i}]"] = sol is not None
@@ -393,7 +385,7 @@ def z_membership(bw: BigElement) -> ZReport:
     for l in range(1, sys.s):
         if l not in y_ls:
             continue
-        comp = _kron_right_of(y_ls[l], RatMatrix.identity(sys.h(sys.s, 1))) * gamma_resh
+        comp = kron_identity_mul(y_ls[l], sys.h(sys.s, 1), gamma_resh)
         iota = _iota_bh(sys, big, l)
         sol = _factor_through_injection(comp, iota)
         fact_ok[f"gamma_right[{l}]"] = sol is not None
@@ -404,8 +396,8 @@ def z_membership(bw: BigElement) -> ZReport:
         for i in range(2, sys.r + 1):
             if l not in y_ls or i not in gamma_si:
                 continue
-            comp = _ytilde(sys, big, l, y_ls[l]) * _kron_right_of(
-                gamma_si[i], RatMatrix.identity(sys.b(sys.s, l)))
+            comp = mul_kron_identity(_ytilde(sys, big, l, y_ls[l]), gamma_si[i],
+                                     sys.b(sys.s, l))
             sigma = _sigma_bh_mixed(sys, big, l, i)
             fact_ok[f"mixed[{l},{i}]"] = _factor_through_surjection(comp, sigma) is not None
 
@@ -413,8 +405,8 @@ def z_membership(bw: BigElement) -> ZReport:
         for i in range(2, sys.r + 1):
             if l not in gamma_l1 or i not in x1:
                 continue
-            comp = _kron_right_of(gamma_l1[l], RatMatrix.identity(sys.a(i, 1))) \
-                * _reshape_x1(big, sys, i, x1[i])
+            comp = kron_identity_mul(gamma_l1[l], sys.a(i, 1),
+                                     _reshape_x1(big, sys, i, x1[i]))
             iota = _iota_ha_mixed(sys, big, l, i)
             fact_ok[f"mixed_dual[{l},{i}]"] = _factor_through_injection(comp, iota) is not None
 
@@ -490,7 +482,7 @@ def _chain_tau_b(sys: CompositionSystem, l: int) -> RatMatrix:
     tau = RatMatrix.identity(sys.b(s, s - 1))
     for k in range(s - 2, l - 1, -1):
         step = sys.comp_bb[(s, k + 1, k)]
-        tau = step * _kron_right_of(tau, RatMatrix.identity(sys.b(k + 1, k)))
+        tau = mul_kron_identity(step, tau, sys.b(k + 1, k))
     return tau
 
 
@@ -576,7 +568,7 @@ def _chain_saturate(bw: BigElement, seeds_p: list[RatMatrix],
         basis = p_bases[i - 1]
         img_cols = []
         if basis.ncols:
-            prod = bw.x[i] * _kron_right_of(basis, RatMatrix.identity(sys.a(i, i - 1)))
+            prod = mul_kron_identity(bw.x[i], basis, sys.a(i, i - 1))
             img_cols = prod.columns()
         combined = p_bases[i - 2].hstack(stack_columns(img_cols, big.p[i - 2]))
         p_bases[i - 2] = combined.column_space_basis()
@@ -584,8 +576,7 @@ def _chain_saturate(bw: BigElement, seeds_p: list[RatMatrix],
     top = q_bases[sys.s - 1]
     extra = []
     if p_bases[0].ncols:
-        prod = bw.gamma * _kron_right_of(p_bases[0],
-                                         RatMatrix.identity(sys.h(sys.s, 1)))
+        prod = mul_kron_identity(bw.gamma, p_bases[0], sys.h(sys.s, 1))
         extra = prod.columns()
     q_bases[sys.s - 1] = top.hstack(stack_columns(extra, big.q[sys.s - 1])) \
         .column_space_basis()
@@ -593,7 +584,7 @@ def _chain_saturate(bw: BigElement, seeds_p: list[RatMatrix],
         basis = q_bases[l]
         img_cols = []
         if basis.ncols:
-            prod = bw.y[l] * _kron_right_of(basis, RatMatrix.identity(sys.b(l + 1, l)))
+            prod = mul_kron_identity(bw.y[l], basis, sys.b(l + 1, l))
             img_cols = prod.columns()
         combined = q_bases[l - 1].hstack(stack_columns(img_cols, big.q[l - 1]))
         q_bases[l - 1] = combined.column_space_basis()
@@ -684,13 +675,12 @@ def chain_invariant(bw: BigElement, fam: SubspaceFamily) -> bool:
         basis = fam.mprime[i - 1]
         target = fam.mprime[i - 2]
         if basis.ncols:
-            img = bw.x[i] * _kron_right_of(basis, RatMatrix.identity(sys.a(i, i - 1)))
+            img = mul_kron_identity(bw.x[i], basis, sys.a(i, i - 1))
             if not img.is_zero() and (target.ncols == 0
                                       or not target.in_column_span(img)):
                 return False
     if fam.mprime[0].ncols:
-        img = bw.gamma * _kron_right_of(fam.mprime[0],
-                                        RatMatrix.identity(sys.h(sys.s, 1)))
+        img = mul_kron_identity(bw.gamma, fam.mprime[0], sys.h(sys.s, 1))
         target = fam.nprime[sys.s - 1]
         if not img.is_zero() and (target.ncols == 0 or not target.in_column_span(img)):
             return False
@@ -698,7 +688,7 @@ def chain_invariant(bw: BigElement, fam: SubspaceFamily) -> bool:
         basis = fam.nprime[l]
         target = fam.nprime[l - 1]
         if basis.ncols:
-            img = bw.y[l] * _kron_right_of(basis, RatMatrix.identity(sys.b(l + 1, l)))
+            img = mul_kron_identity(bw.y[l], basis, sys.b(l + 1, l))
             if not img.is_zero() and (target.ncols == 0
                                       or not target.in_column_span(img)):
                 return False

@@ -5,6 +5,13 @@ terms with positive denominator), matrices are dense row-major grids of them.
 Elimination uses deterministic first-nonzero pivoting, so ranks, kernels,
 column spaces and solved systems are reproducible bit for bit.  Nothing in
 this module (or the package) ever rounds.
+
+Kronecker factors with an identity, X (x) I_n and I_n (x) X, are applied
+implicitly by `mul_kron_identity`, `kron_identity_mul`, `mul_identity_kron`
+and `identity_kron_mul` (the "vec trick", Van Loan 2000): they loop over the
+nonzeros of X and of the dense factor and never build the product.  `kron`
+and `kron_identity_right` build the matrix itself, for the places that need
+it (a system to solve, a reference value in tests).
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ def rat(value) -> Fraction:
 
 def rat_str(q: Fraction) -> str:
     """Serialize as 'p/q', or 'p' when the denominator is 1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -136,11 +144,11 @@ class RatMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         out = [[ZERO] * other.ncols for _ in range(self.nrows)]
-        nz = [[(j, v) for j, v in enumerate(row) if v != 0] for row in other.rows]
+        nz = _nonzeros(other)
         for i, row in enumerate(self.rows):
             orow = out[i]
             for k, a in enumerate(row):
-                if a == 0:
+                if not a:
                     continue
                 for j, v in nz[k]:
                     orow[j] += a * v
@@ -190,19 +198,22 @@ class RatMatrix:
         rank = 0
         prev = 1
         for c in range(n):
-            piv = next((i for i in range(rank, m) if a[i][c] != 0), None)
+            piv = next((i for i in range(rank, m) if a[i][c]), None)
             if piv is None:
                 continue
             if piv != rank:
                 a[rank], a[piv] = a[piv], a[rank]
             p = a[rank][c]
+            tail = a[rank][c + 1:]
             for i in range(rank + 1, m):
-                f = a[i][c]
-                if f == 0 and prev == 1:
-                    continue
-                ai, ar = a[i], a[rank]
-                for j in range(c, n):
-                    ai[j] = (p * ai[j] - f * ar[j]) // prev
+                ai = a[i]
+                f = ai[c]
+                # column c is never read again, so only the tail is updated;
+                # a row with f == 0 still needs rescaling unless p == prev
+                if f:
+                    ai[c + 1:] = [(p * x - f * y) // prev for x, y in zip(ai[c + 1:], tail)]
+                elif p != prev:
+                    ai[c + 1:] = [p * x // prev for x in ai[c + 1:]]
             prev = p
             rank += 1
             if rank == m:
@@ -349,20 +360,6 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return out
 
 
-def kron_identity_left(n: int, b: RatMatrix) -> RatMatrix:
-    """I_n x B without building the identity."""
-    out = RatMatrix.zeros(n * b.nrows, n * b.ncols)
-    for i in range(n):
-        for k in range(b.nrows):
-            orow = out.rows[i * b.nrows + k]
-            brow = b.rows[k]
-            base = i * b.ncols
-            for l in range(b.ncols):
-                if brow[l] != 0:
-                    orow[base + l] = brow[l]
-    return out
-
-
 def kron_identity_right(a: RatMatrix, n: int) -> RatMatrix:
     """A x I_n without building the identity."""
     out = RatMatrix.zeros(a.nrows * n, a.ncols * n)
@@ -374,6 +371,96 @@ def kron_identity_right(a: RatMatrix, n: int) -> RatMatrix:
                 for k in range(n):
                     out.rows[i * n + k][j * n + k] = v
     return out
+
+
+def _nonzeros(mat: RatMatrix) -> list[list[tuple[int, Fraction]]]:
+    """Per row, the (column, value) pairs of the nonzero entries."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in mat.rows]
+
+
+def mul_kron_identity(a: RatMatrix, x: RatMatrix, n: int) -> RatMatrix:
+    """a @ (X x I_n) without building the Kronecker product.
+
+    Column (i, k) of a meets row (i, k) of X x I_n, whose only nonzeros are
+    X[i][j] at columns (j, k).
+    """
+    if a.ncols != x.nrows * n:
+        raise ValueError(f"cannot multiply {a.shape} by {x.shape} x I_{n}")
+    xnz = _nonzeros(x)
+    ncols = x.ncols * n
+    out = []
+    for row in a.rows:
+        orow = [ZERO] * ncols
+        for idx, av in enumerate(row):
+            if av:
+                i, k = divmod(idx, n)
+                for j, v in xnz[i]:
+                    orow[j * n + k] += av * v
+        out.append(orow)
+    return RatMatrix(a.nrows, ncols, out)
+
+
+def kron_identity_mul(x: RatMatrix, n: int, b: RatMatrix) -> RatMatrix:
+    """(X x I_n) @ b without building the Kronecker product.
+
+    Row (i, k) of the result is the sum of X[i][j] times row (j, k) of b.
+    """
+    if x.ncols * n != b.nrows:
+        raise ValueError(f"cannot multiply {x.shape} x I_{n} by {b.shape}")
+    bnz = _nonzeros(b)
+    out = []
+    for xrow in _nonzeros(x):
+        for k in range(n):
+            orow = [ZERO] * b.ncols
+            for j, v in xrow:
+                for c, bv in bnz[j * n + k]:
+                    orow[c] += v * bv
+            out.append(orow)
+    return RatMatrix(x.nrows * n, b.ncols, out)
+
+
+def mul_identity_kron(a: RatMatrix, n: int, x: RatMatrix) -> RatMatrix:
+    """a @ (I_n x X) without building the Kronecker product.
+
+    Column (o, i) of a meets row (o, i) of I_n x X, whose only nonzeros are
+    X[i][j] at columns (o, j).
+    """
+    if a.ncols != n * x.nrows:
+        raise ValueError(f"cannot multiply {a.shape} by I_{n} x {x.shape}")
+    xnz = _nonzeros(x)
+    p, q = x.shape
+    out = []
+    for row in a.rows:
+        orow = [ZERO] * (n * q)
+        for idx, av in enumerate(row):
+            if av:
+                o, i = divmod(idx, p)
+                base = o * q
+                for j, v in xnz[i]:
+                    orow[base + j] += av * v
+        out.append(orow)
+    return RatMatrix(a.nrows, n * q, out)
+
+
+def identity_kron_mul(n: int, x: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """(I_n x X) @ b without building the Kronecker product.
+
+    Row (o, i) of the result is the sum of X[i][j] times row (o, j) of b.
+    """
+    if n * x.ncols != b.nrows:
+        raise ValueError(f"cannot multiply I_{n} x {x.shape} by {b.shape}")
+    xnz = _nonzeros(x)
+    bnz = _nonzeros(b)
+    q = x.ncols
+    out = []
+    for o in range(n):
+        for xrow in xnz:
+            orow = [ZERO] * b.ncols
+            for j, v in xrow:
+                for c, bv in bnz[o * q + j]:
+                    orow[c] += v * bv
+            out.append(orow)
+    return RatMatrix(n * x.nrows, b.ncols, out)
 
 
 def stack_columns(columns: list[list[Fraction]], nrows: int) -> RatMatrix:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .exact import ONE, ZERO, RatMatrix, rat
+from .exact import ONE, ZERO, RatMatrix, rat, rat_str
 
 Mono = tuple  # exponent vector, one slot per variable x0..x(nvars-1)
 
@@ -273,14 +273,14 @@ class Poly:
             factors = [f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(m) if e]
             body = "*".join(factors)
             if not body:
-                parts.append((c, rat_str_signed(c)))
+                parts.append((c, rat_str(c)))
                 continue
             if c == 1:
                 parts.append((c, body))
             elif c == -1:
                 parts.append((c, "-" + body))
             else:
-                parts.append((c, f"{rat_str_signed(c)}*{body}"))
+                parts.append((c, f"{rat_str(c)}*{body}"))
         text = parts[0][1]
         for _, piece in parts[1:]:
             text += " - " + piece[1:] if piece.startswith("-") else " + " + piece
@@ -291,10 +291,6 @@ class Poly:
     @staticmethod
     def parse(text: str, nvars: int) -> "Poly":
         return _PolyParser(text, nvars).parse()
-
-
-def rat_str_signed(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(x\d+)|(\*\*|[()+\-*^]))")

@@ -238,7 +238,8 @@ def _subspace_pool(w: MorphismElement, i: int, rng: random.Random):
     seen = set()
 
     def emit(mat: RatMatrix):
-        key = tuple(tuple(row) for row in mat.rref()[0].rows)
+        # the row-reduced basis of the span identifies the subspace
+        key = tuple(tuple(row) for row in mat.transpose().rref()[0].rows)
         if key not in seen:
             seen.add(key)
             yield_list.append(mat)
@@ -366,7 +367,7 @@ def _u_action_matrix(sys: CompositionSystem, l: int, j: int, i: int,
         for bcol in range(ucols):
             u = RatMatrix.zeros(urows, ucols)
             u.rows[a][bcol] = ONE
-            img = _star_phi_u(sys, l, j, i, m, n, w.block(l, j), u)
+            img = _star_phi_u(sys, l, j, i, n, w.block(l, j), u)
             for rr in range(img.nrows):
                 for cc in range(img.ncols):
                     if img.rows[rr][cc] != 0:

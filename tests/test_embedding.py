@@ -5,7 +5,7 @@ import pytest
 from gitpol.embedding import (BigElement, big_act, big_destabilizer_search,
                               build_big, gamma_injectivity_check, saturated_family,
                               theta, z_membership, zeta)
-from gitpol.exact import RatMatrix
+from gitpol.exact import RatMatrix, kron_identity_right
 from gitpol.polarization import Polarization, associated, saturated_dims
 from gitpol.setting import (GroupElement, MorphismElement, ProblemSpec,
                             act, build_line_bundle_system, compose_group,
@@ -83,6 +83,23 @@ def test_zeta_equivariance_sample():
             assert lhs.gamma == rhs.gamma
             assert all(lhs.x[i] == rhs.x[i] for i in lhs.x)
             assert all(lhs.y[l] == rhs.y[l] for l in lhs.y)
+
+
+def test_big_act_matches_explicit_kronecker_formula():
+    sysm, big = SYS_22P3, BIG_22P3
+    g = compose_group(random_reductive(sysm, 31), random_unipotent(sysm, 32, 2))
+    left, right = th = theta(big, g)
+    bw = zeta(big, random_morphism(sysm, 33, 2))
+    moved = big_act(big, th, bw)
+    left_inv = [m.inverse() for m in left]
+    for i in bw.x:
+        assert moved.x[i] == left[i - 2] * bw.x[i] * kron_identity_right(
+            left_inv[i - 1], sysm.a(i, i - 1))
+    assert moved.gamma == right[sysm.s - 1] * bw.gamma * kron_identity_right(
+        left_inv[0], sysm.h(sysm.s, 1))
+    for l in bw.y:
+        assert moved.y[l] == right[l - 1] * bw.y[l] * kron_identity_right(
+            right[l].inverse(), sysm.b(l + 1, l))
 
 
 def test_z_membership_statuses():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gitpol.exact import RatMatrix, kron, kron_identity_right, rat, rat_str
+from gitpol.exact import (RatMatrix, identity_kron_mul, kron, kron_identity_mul,
+                          kron_identity_right, mul_identity_kron, mul_kron_identity, rat,
+                          rat_str)
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -42,6 +44,22 @@ def test_bareiss_agrees_with_rref_rank():
         m = rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         _, pivots = m.rref()
         assert m.rank() == len(pivots)
+
+
+def test_rank_counterexample_needs_row_scaling():
+    # a zero below the pivot still has to be rescaled when the pivot changes
+    m = RatMatrix.from_rows([[0, 1, -1], [0, 1, -2], [2, -2, -3]])
+    assert m.rank() == 3
+    assert len(m.rref()[1]) == 3
+
+
+def test_rank_matches_rref_on_sparse_small_matrices():
+    rng = random.Random(11)
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = RatMatrix.from_rows([[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -3))
+                                  for _ in range(cols)] for _ in range(rows)])
+        assert m.rank() == len(m.rref()[1])
 
 
 def test_solve_and_inverse():
@@ -118,3 +136,59 @@ def test_mismatched_shapes_raise():
         RatMatrix.zeros(2, 2) * RatMatrix.zeros(3, 3)
     with pytest.raises(ValueError):
         RatMatrix.zeros(2, 2) + RatMatrix.zeros(3, 3)
+
+
+def rand_rational(rng, rows, cols, zero_rows=(), zero_cols=()):
+    """Sparse random rational matrix with the given rows and columns zeroed."""
+    return RatMatrix.from_rows(
+        [[0 if i in zero_rows or j in zero_cols or rng.random() < 0.4
+          else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+          for j in range(cols)] for i in range(rows)])
+
+
+KRON_SHAPES = [(1, 1, 1, 1), (2, 3, 1, 2), (3, 2, 2, 3), (2, 2, 3, 1), (4, 3, 2, 2),
+               (1, 4, 3, 2), (3, 1, 4, 2)]
+
+
+@pytest.mark.parametrize("xr,xc,n,other", KRON_SHAPES)
+def test_kron_helpers_equal_explicit_products(xr, xc, n, other):
+    rng = random.Random(xr * 1000 + xc * 100 + n * 10 + other)
+    for trial in range(6):
+        zr = {rng.randrange(xr)} if trial % 2 else set()
+        zc = {rng.randrange(xc)} if trial % 3 == 0 else set()
+        x = rand_rational(rng, xr, xc, zr, zc)
+        eye = RatMatrix.identity(n)
+        a = rand_rational(rng, other, xr * n, {0} if trial == 1 else ())
+        assert mul_kron_identity(a, x, n) == a * kron(x, eye)
+        b = rand_rational(rng, xc * n, other, (), {0} if trial == 2 else ())
+        assert kron_identity_mul(x, n, b) == kron(x, eye) * b
+        a = rand_rational(rng, other, n * xr)
+        assert mul_identity_kron(a, n, x) == a * kron(eye, x)
+        b = rand_rational(rng, n * xc, other)
+        assert identity_kron_mul(n, x, b) == kron(eye, x) * b
+
+
+def test_kron_helpers_agree_with_kron_identity_right_and_zero_factors():
+    rng = random.Random(5)
+    x = rand_rational(rng, 3, 2)
+    a = rand_rational(rng, 2, 6)
+    assert mul_kron_identity(a, x, 2) == a * kron_identity_right(x, 2)
+    zero = RatMatrix.zeros(3, 2)
+    assert mul_kron_identity(a, zero, 2) == RatMatrix.zeros(2, 4)
+    assert identity_kron_mul(2, zero, rand_rational(rng, 4, 3)) == RatMatrix.zeros(6, 3)
+    # empty dense factor: no rows, or no columns
+    assert mul_kron_identity(RatMatrix.zeros(0, 6), x, 2).shape == (0, 4)
+    assert kron_identity_mul(x, 2, RatMatrix.zeros(4, 0)).shape == (6, 0)
+
+
+def test_kron_helpers_reject_shape_mismatch():
+    x = RatMatrix.identity(2)
+    bad = RatMatrix.zeros(3, 5)
+    with pytest.raises(ValueError):
+        mul_kron_identity(bad, x, 2)
+    with pytest.raises(ValueError):
+        kron_identity_mul(x, 2, bad)
+    with pytest.raises(ValueError):
+        mul_identity_kron(bad, 2, x)
+    with pytest.raises(ValueError):
+        identity_kron_mul(2, x, bad)

@@ -40,6 +40,17 @@ WALL_MATRIX = MorphismElement.from_polynomials(
               [["x0"], ["x1"], ["0"]]]])
 
 
+def test_subspace_pool_keeps_distinct_subspaces_of_one_dimension():
+    from gitpol.stability import _subspace_pool
+
+    w = random_morphism(SYS_21P2, 3, 2)
+    pool = _subspace_pool(w, 1, random.Random(0))
+    lines = {tuple(basis.col(0)) for basis in pool if basis.ncols == 1}
+    assert (1, 0) in lines and (0, 1) in lines
+    spans = [tuple(tuple(r) for r in basis.transpose().rref()[0].rows) for basis in pool]
+    assert len(spans) == len(set(spans))
+
+
 def test_invariance_trivial_and_full():
     w = random_morphism(SYS_21P2, 1, 2)
     assert is_invariant(w, family_from_flags(w, (False, False), (False,)))
