@@ -38,10 +38,13 @@ def _emit(args, payload: dict) -> None:
 
 def _parse_window(text: str):
     parts = text.split(";")
-    if len(parts) == 1:
-        lo, hi = (rat(v) for v in parts[0].split(","))
-        return (lo, hi)
-    (a, b), (c, d) = (tuple(rat(v) for v in p.split(",")) for p in parts)
+    try:
+        if len(parts) == 1:
+            lo, hi = (rat(v) for v in parts[0].split(","))
+            return (lo, hi)
+        (a, b), (c, d) = (tuple(rat(v) for v in p.split(",")) for p in parts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad window {text!r}: expected 'a,b' or 'a,b;c,d'") from exc
     return ((a, b), (c, d))
 
 

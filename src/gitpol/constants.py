@@ -9,6 +9,10 @@ where delta_l contracts each A_i1 factor into H*_li, and K is admissible when
 its block supports are full.  Closed forms are available for a handful of
 line-bundle configurations; everywhere else the module produces certified
 lower bounds from deterministic candidate pools (never an upper bound).
+
+rho is computed over the integers: each basis column of K and each row of a
+contraction tensor is scaled to integers (which changes no span and no rank),
+and the codimensions come from `exact.integer_rank`.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import ONE, ZERO, RatMatrix
+from .exact import ONE, ZERO, RatMatrix, clear_denominators, integer_rank
 from .poly import sym_dim
 from .setting import (CompositionSystem, ProblemSpec, SchemaError,
                       build_line_bundle_system, induced_contraction_right)
@@ -202,6 +207,25 @@ class RhoProblem:
             cur += self.block_adims[b]
         return offs
 
+    @cached_property
+    def ind_nonzeros(self) -> list[list[list[tuple[int, int, int]]]]:
+        """Per block and H_src*-index k1, the nonzeros of `inds[b]` in the
+        columns (c, k1) as integer triples (target row, A-index, value).
+
+        A row of `inds[b]` with fractions is scaled by the lcm of its
+        denominators; scaling a target coordinate keeps every image rank.
+        """
+        out = []
+        for ind in self.inds:
+            terms = [[] for _ in range(self.h_src)]
+            for t, row in enumerate(clear_denominators(ind.rows)):
+                for j, v in enumerate(row):
+                    if v:
+                        c, k1 = divmod(j, self.h_src)
+                        terms[k1].append((t, c, v))
+            out.append(terms)
+        return out
+
 
 def rho_problem_c(sys: CompositionSystem, l: int,
                   blocks: tuple[int, ...] | None = None) -> RhoProblem:
@@ -233,89 +257,52 @@ def rho_problem_cprime_31(sys: CompositionSystem) -> RhoProblem:
                       [ind], ambient, degrees)
 
 
-class _RowSpace:
-    """Incremental echelon basis over Q, for early-exit rank computations."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec: list[Fraction]) -> bool:
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv] != 0:
-                f = v[piv]
-                v = [x - f * y for x, y in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if x != 0), None)
-        if piv is None:
-            return False
-        inv = ONE / v[piv]
-        v = [x * inv for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def membership(problem: RhoProblem, basis: RatMatrix) -> bool:
     """Is span(columns) admissible, i.e. full support on every block?"""
-    if basis.ncols == 0 or basis.rank() != basis.ncols:
+    cols = clear_denominators(zip(*basis.rows))
+    if not cols or integer_rank(cols) != len(cols):
         return False
     offs = problem.slot_offsets()
     slots = problem.slots
-    pos = 0
     for b, mult in enumerate(problem.block_mults):
-        adim = problem.block_adims[b]
-        space = _RowSpace(mult)
-        slot_ids = [k for k, bb in enumerate(slots) if bb == b]
-        for col in range(basis.ncols):
-            for c in range(adim):
-                vec = [basis.rows[offs[k] + c][col] for k in slot_ids]
-                space.add(vec)
-            if space.rank == mult:
-                break
-        if space.rank != mult:
+        block_offs = [offs[k] for k, bb in enumerate(slots) if bb == b]
+        # per column and A-index, the coordinates in the block's slots
+        vecs = ([x[off + c] for off in block_offs]
+                for x in cols for c in range(problem.block_adims[b]))
+        if integer_rank(vecs) != mult:
             return False
-        pos += mult
     return True
 
 
 def rho_value(problem: RhoProblem, basis: RatMatrix) -> Fraction:
-    """rho(K) for an admissible K given by a full-column-rank basis matrix."""
+    """rho(K) for an admissible K given by a full-column-rank basis matrix.
+
+    delta(K (x) H*) is spanned by one integer vector per (basis column,
+    H*-index); they are generated lazily, so the rank stops as soon as they
+    span the whole target.
+    """
     codim_k = problem.src_dim - basis.ncols
     if codim_k <= 0:
         raise SchemaError("K must be a proper subspace")
-    offs = problem.slot_offsets()
-    slots = problem.slots
-    tgt_offs = []
-    cur = 0
-    for b in slots:
-        tgt_offs.append(cur)
+    cols = clear_denominators(zip(*basis.rows))
+    terms = problem.ind_nonzeros
+    tgt_dim = problem.tgt_dim
+    placed, cur = [], 0
+    for b, off in zip(problem.slots, problem.slot_offsets()):
+        placed.append((terms[b], off, cur))
         cur += problem.block_tdims[b]
-    image = _RowSpace(problem.tgt_dim)
-    for col in range(basis.ncols):
-        for k1 in range(problem.h_src):
-            vec = [ZERO] * problem.tgt_dim
-            for k, b in enumerate(slots):
-                ind = problem.inds[b]
-                adim = problem.block_adims[b]
-                for c in range(adim):
-                    x = basis.rows[offs[k] + c][col]
-                    if x == 0:
-                        continue
-                    colidx = c * problem.h_src + k1
-                    for t in range(problem.block_tdims[b]):
-                        v = ind.rows[t][colidx]
-                        if v != 0:
-                            vec[tgt_offs[k] + t] += x * v
-            image.add(vec)
-            if image.rank == problem.tgt_dim:
-                return ZERO
-    return Fraction(problem.tgt_dim - image.rank, codim_k)
+
+    def image():
+        for x in cols:
+            for k1 in range(problem.h_src):
+                vec = [0] * tgt_dim
+                for bterms, off, toff in placed:
+                    for t, c, v in bterms[k1]:
+                        if x[off + c]:
+                            vec[toff + t] += v * x[off + c]
+                yield vec
+
+    return Fraction(tgt_dim - integer_rank(image()), codim_k)
 
 
 @dataclass
@@ -446,11 +433,7 @@ def sampled_lower_bound(problem: RhoProblem, seed: int, trials: int) -> LowerBou
     while used < trials:
         k = rng.randrange(1, dim) if dim > 1 else 1
         cols = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(k)]
-        basis = RatMatrix.from_columns(cols)
-        if basis.rank() != basis.ncols:
-            used += 1
-            continue
-        if consider(basis):
+        if consider(RatMatrix.from_columns(cols)):
             break
     return LowerBound(best, witness, used)
 

@@ -6,6 +6,11 @@ Elimination uses deterministic first-nonzero pivoting, so ranks, kernels,
 column spaces and solved systems are reproducible bit for bit.  Nothing in
 this module (or the package) ever rounds.
 
+`integer_rank` is the one integer elimination core: fraction-free (Bareiss)
+elimination on integer rows.  `RatMatrix.rank` clears denominators row by
+row (`clear_denominators`) and calls it, and `constants` ranks its integer
+matrices with it directly.
+
 Kronecker factors with an identity, X (x) I_n and I_n (x) X, are applied
 implicitly by `mul_kron_identity`, `kron_identity_mul`, `mul_identity_kron`
 and `identity_kron_mul` (the "vec trick", Van Loan 2000): they loop over the
@@ -17,7 +22,7 @@ it (a system to solve, a reference value in tests).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -42,6 +47,59 @@ def rat_str(q: Fraction) -> str:
     if not isinstance(q, Fraction):
         q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def clear_denominators(vectors: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each vector times the lcm of its denominators: a list of integer
+    vectors with the same spans and ranks, row by row."""
+    out = []
+    for vec in vectors:
+        ratios = [x.as_integer_ratio() for x in vec]
+        den = lcm(*(d for _, d in ratios))
+        out.append([n * (den // d) for n, d in ratios])
+    return out
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Rows are reduced one at a time, in the order given, against the pivot
+    rows found so far: step k first swaps the pivot's column into place k,
+    then maps v to (p_k v - v[k] w_k) / p_{k-1}, where w_k is the k-th pivot
+    row and p_k its pivot (Bareiss, Math. Comp. 1968).  Every value is a
+    minor of the input, so each division is exact and nothing leaves the
+    integers.  The input is not modified.  Elimination stops once the rank
+    equals the row length, so `rows` may be a lazy iterable that is only
+    consumed that far.
+    """
+    steps: list[tuple[int, int, list[int]]] = []   # (column, pivot, tail)
+    for row in rows:
+        if not any(row):
+            continue
+        v = list(row)
+        prev = 1
+        k = 0
+        for j, p, tail in steps:
+            if j != k:
+                v[k], v[j] = v[j], v[k]
+            f = v[k]
+            k += 1
+            # a row with f == 0 still needs rescaling unless p == prev
+            if f:
+                v[k:] = [(p * x - f * y) // prev for x, y in zip(v[k:], tail)]
+            elif p != prev:
+                v[k:] = [p * x // prev for x in v[k:]]
+            prev = p
+        for j in range(k, len(v)):
+            if v[j]:
+                break
+        else:
+            continue
+        v[k], v[j] = v[j], v[k]
+        steps.append((j, v[k], v[k + 1:]))
+        if k + 1 == len(v):
+            break
+    return len(steps)
 
 
 class RatMatrix:
@@ -182,43 +240,9 @@ class RatMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _integer_rows(self) -> list[list[int]]:
-        out = []
-        for row in self.rows:
-            den = 1
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-            out.append([int(x * den) for x in row])
-        return out
-
     def rank(self) -> int:
         """Exact rank by fraction-free (Bareiss) elimination on cleared rows."""
-        a = self._integer_rows()
-        m, n = self.nrows, self.ncols
-        rank = 0
-        prev = 1
-        for c in range(n):
-            piv = next((i for i in range(rank, m) if a[i][c]), None)
-            if piv is None:
-                continue
-            if piv != rank:
-                a[rank], a[piv] = a[piv], a[rank]
-            p = a[rank][c]
-            tail = a[rank][c + 1:]
-            for i in range(rank + 1, m):
-                ai = a[i]
-                f = ai[c]
-                # column c is never read again, so only the tail is updated;
-                # a row with f == 0 still needs rescaling unless p == prev
-                if f:
-                    ai[c + 1:] = [(p * x - f * y) // prev for x, y in zip(ai[c + 1:], tail)]
-                elif p != prev:
-                    ai[c + 1:] = [p * x // prev for x in ai[c + 1:]]
-            prev = p
-            rank += 1
-            if rank == m:
-                break
-        return rank
+        return integer_rank(clear_denominators(self.rows))
 
     def rank_at_least(self, target: int) -> bool:
         """Certified test rank >= target.
@@ -233,7 +257,7 @@ class RatMatrix:
             return False
         p = (1 << 61) - 1
         rows = []
-        for r in self._integer_rows():
+        for r in clear_denominators(self.rows):
             row = [v % p for v in r]
             if any(row):
                 rows.append(row)
@@ -265,14 +289,14 @@ class RatMatrix:
         pivots: list[int] = []
         r = 0
         for c in range(n):
-            piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+            piv = next((i for i in range(r, m) if a[i][c]), None)
             if piv is None:
                 continue
             a[r], a[piv] = a[piv], a[r]
             inv = ONE / a[r][c]
             a[r] = [x * inv for x in a[r]]
             for i in range(m):
-                if i != r and a[i][c] != 0:
+                if i != r and a[i][c]:
                     f = a[i][c]
                     a[i] = [x - f * y for x, y in zip(a[i], a[r])]
             pivots.append(c)

@@ -48,7 +48,7 @@ class Polarization:
         try:
             return Polarization(tuple(rat(x) for x in data["lambda"]),
                                 tuple(rat(x) for x in data["mu"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad polarization data: {exc}") from exc
 
 

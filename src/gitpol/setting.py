@@ -16,6 +16,7 @@ Index conventions (used throughout the package):
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -87,11 +88,22 @@ class ProblemSpec:
     @staticmethod
     def from_json(data: dict) -> "ProblemSpec":
         try:
-            left = tuple((int(x["twist"]), int(x["mult"])) for x in data["left"])
-            right = tuple((int(x["twist"]), int(x["mult"])) for x in data["right"])
-            return ProblemSpec(int(data["ambient_dim"]), left, right)
-        except (KeyError, TypeError) as exc:
+            left = tuple((_json_int(x["twist"]), _json_int(x["mult"])) for x in data["left"])
+            right = tuple((_json_int(x["twist"]), _json_int(x["mult"])) for x in data["right"])
+            ambient = _json_int(data["ambient_dim"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad problem spec: {exc}") from exc
+        return ProblemSpec(ambient, left, right)
+
+
+def _json_int(value) -> int:
+    """A JSON integer, or a string holding an optionally signed integer;
+    floats, bools and anything else are rejected rather than truncated."""
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not an integer")
 
 
 class CompositionSystem:
@@ -408,7 +420,9 @@ class MorphismElement:
     def from_json(system: CompositionSystem, data: dict) -> "MorphismElement":
         try:
             return MorphismElement.from_polynomials(system, data["blocks"])
-        except (KeyError, TypeError, IndexError) as exc:
+        except SchemaError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad morphism data: {exc}") from exc
 
 

@@ -164,3 +164,45 @@ def test_malformed_polynomial_reports_location(files, capsys):
     code = main(["stability", "--spec", files["spec21"], "--pol", files["pol21"],
                  "--morphism", str(p)])
     assert code == 2
+
+
+def _assert_input_error(args, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
+def test_non_integer_ambient_dim_is_an_input_error(files, capsys):
+    bad = files["tmp"] / "bad_dim.json"
+    bad.write_text(json.dumps(dict(SPEC_21P2, ambient_dim="x")))
+    _assert_input_error(["dim", "--spec", str(bad)], capsys)
+
+
+def test_non_rational_weight_is_an_input_error(files, capsys):
+    for lam in (["abc", "2/3"], ["1/0", "2/3"]):
+        bad = files["tmp"] / "bad_pol.json"
+        bad.write_text(json.dumps(dict(POL_21P2, **{"lambda": lam})))
+        _assert_input_error(["certify", "--spec", files["spec21"], "--pol", str(bad)],
+                            capsys)
+
+
+def test_malformed_window_is_an_input_error(files, capsys):
+    for window in ("a", "0", "0,1;2", "0,1/0"):
+        _assert_input_error(["chambers", "--spec", files["spec21"], "--window", window],
+                            capsys)
+
+
+def test_spec_integers_are_parsed_strictly(files, capsys):
+    for field, value in (("mult", 2.7), ("mult", True), ("twist", "-2.0"), ("mult", "2x")):
+        left = [dict(SPEC_21P2["left"][0], **{field: value}), SPEC_21P2["left"][1]]
+        bad = files["tmp"] / "bad_int.json"
+        bad.write_text(json.dumps(dict(SPEC_21P2, left=left)))
+        _assert_input_error(["dim", "--spec", str(bad)], capsys)
+    # integers written as strings, optionally signed, are still accepted
+    ok = files["tmp"] / "str_int.json"
+    ok.write_text(json.dumps(dict(SPEC_21P2, ambient_dim="+2",
+                                  left=[{"twist": "-2", "mult": "2"}, SPEC_21P2["left"][1]])))
+    code, text = run(["dim", "--spec", str(ok)], files["tmp"] / "dim_str.json")
+    assert code == 0
+    assert json.loads(text)["expected_dimension"] == 26

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 from gitpol.constants import (ConstantQuery, LowerBound, c_closed_form_21,
                               c_closed_form_triple, membership, pad_witness,
                               reference_table, resolve, resolve_c, resolve_d,
-                              rho_problem_c, rho_problem_cprime_31, rho_value,
-                              sampled_lower_bound, sampled_lower_bound_query,
-                              transpose_spec)
-from gitpol.exact import RatMatrix
+                              RhoProblem, rho_problem_c, rho_problem_cprime_31,
+                              rho_value, sampled_lower_bound, sampled_lower_bound_query,
+                              transpose_spec, transpose_system)
+from gitpol.exact import RatMatrix, mul_kron_identity
 from gitpol.setting import ProblemSpec, SchemaError, build_line_bundle_system
 
 SYS_FAM22 = build_line_bundle_system(ProblemSpec(3, ((-2, 3), (-1, 2)), ((0, 2), (1, 5))))
@@ -129,3 +130,95 @@ def test_resolve_query_dispatch():
     assert resolve(ConstantQuery(SYS_FAM22, "right", 2)).value == F(1, 7)
     with pytest.raises(SchemaError):
         ConstantQuery(SYS_FAM22, "middle", 1)
+
+
+def _slot_block(prob, basis, k):
+    """Rows of the basis on slot k: the coordinates of K in that copy of A."""
+    off = prob.slot_offsets()[k]
+    return basis.submatrix(range(off, off + prob.block_adims[prob.slots[k]]),
+                           range(basis.ncols))
+
+
+def _rank_q(mat):
+    return len(mat.rref()[1])
+
+
+def _membership_oracle(prob, basis):
+    if basis.ncols == 0 or _rank_q(basis) != basis.ncols:
+        return False
+    for b, mult in enumerate(prob.block_mults):
+        cols = []
+        for k in (k for k, bb in enumerate(prob.slots) if bb == b):
+            block = _slot_block(prob, basis, k)
+            cols.append([x for row in block.rows for x in row])
+        if _rank_q(RatMatrix.from_columns(cols)) != mult:
+            return False
+    return True
+
+
+def _rho_oracle(prob, basis):
+    """Stack each slot's image inds[b] (X_k (x) I_h) and rank it with rref."""
+    rows = []
+    for k, b in enumerate(prob.slots):
+        rows += mul_kron_identity(prob.inds[b], _slot_block(prob, basis, k), prob.h_src).rows
+    return F(prob.tgt_dim - _rank_q(RatMatrix.from_rows(rows)),
+             prob.src_dim - basis.ncols)
+
+
+def _oracle_problems():
+    right = build_line_bundle_system(ProblemSpec(2, ((-2, 1), (-1, 1)), ((0, 2), (1, 2))))
+    left = build_line_bundle_system(ProblemSpec(2, ((-3, 1), (-1, 2)), ((0, 2),)))
+    rng = random.Random(5)
+    # contraction tensors with fractions, to exercise their row scaling; the
+    # last row is the sum of the first two, so every image misses a direction
+    inds = []
+    for a, t in ((2, 3), (3, 3)):
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(a * 2)]
+                for _ in range(t - 1)]
+        inds.append(RatMatrix.from_rows(rows + [[x + y for x, y in zip(*rows[:2])]]))
+    return [rho_problem_c(SYS_FAM22, 1), rho_problem_c(SYS_FAM22, 2),
+            rho_problem_c(SYS_31P3, 1), rho_problem_c(left, 1),
+            rho_problem_c(transpose_system(right), right.r),
+            RhoProblem([2, 1], [2, 3], [3, 3], 2, inds)]
+
+
+def _oracle_candidates(prob, rng):
+    dim = prob.src_dim
+    # 31P3 images are 35 wide per column: keep its rref oracle small
+    top = min(dim - 1, 4 if prob.h_src > 20 else dim - 1)
+    for trial in range(24):
+        k = rng.randint(1, top)
+        if trial % 3 == 0:      # integer entries, as the sampler draws them
+            cols = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(k)]
+        else:                   # rational entries
+            cols = [[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(dim)]
+                    for _ in range(k)]
+        if trial % 4 == 1:      # block-deficient: one slot left empty
+            k0 = rng.randrange(len(prob.slots))
+            off = prob.slot_offsets()[k0]
+            for col in cols:
+                col[off:off + prob.block_adims[prob.slots[k0]]] = \
+                    [0] * prob.block_adims[prob.slots[k0]]
+        if trial % 4 == 3 and len(prob.slots) > 1:   # two slots of a block proportional
+            b = prob.slots[0]
+            same = [k for k, bb in enumerate(prob.slots) if bb == b][:2]
+            if len(same) == 2:
+                offs = prob.slot_offsets()
+                for col in cols:
+                    for c in range(prob.block_adims[b]):
+                        col[offs[same[1]] + c] = -2 * col[offs[same[0]] + c]
+        yield RatMatrix.from_columns(cols)
+
+
+def test_integer_rho_and_membership_match_fraction_oracle():
+    rng = random.Random(77)
+    admissible = deficient = 0
+    for prob in _oracle_problems():
+        for basis in _oracle_candidates(prob, rng):
+            ok = membership(prob, basis)
+            assert ok == _membership_oracle(prob, basis)
+            admissible += ok
+            deficient += not ok
+            if _rank_q(basis) == basis.ncols:
+                assert rho_value(prob, basis) == _rho_oracle(prob, basis)
+    assert admissible and deficient

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gitpol.exact import (RatMatrix, identity_kron_mul, kron, kron_identity_mul,
-                          kron_identity_right, mul_identity_kron, mul_kron_identity, rat,
-                          rat_str)
+from gitpol.exact import (RatMatrix, clear_denominators, identity_kron_mul, integer_rank,
+                          kron, kron_identity_mul, kron_identity_right, mul_identity_kron,
+                          mul_kron_identity, rat, rat_str)
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -192,3 +192,34 @@ def test_kron_helpers_reject_shape_mismatch():
         mul_identity_kron(bad, 2, x)
     with pytest.raises(ValueError):
         identity_kron_mul(2, x, bad)
+
+
+def test_integer_rank_matches_rref_oracle():
+    rng = random.Random(2024)
+    shapes = [(0, 0), (1, 0)] + [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(50)]
+    for _ in range(1000):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        if rng.random() < 0.3:   # wide or tall
+            ncols, nrows = (nrows * 3, nrows) if rng.random() < 0.5 else (ncols, ncols * 3)
+        shapes.append((nrows, ncols))
+    for nrows, ncols in shapes:
+        zero_rows = {i for i in range(nrows) if rng.random() < 0.15}
+        bound = rng.choice((1, 3, 50))
+        rows = [[0 if i in zero_rows or rng.random() < 0.3 else rng.randint(-bound, bound)
+                 for _ in range(ncols)] for i in range(nrows)]
+        if nrows > 1 and rng.random() < 0.2:     # a dependent row
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+        before = [list(r) for r in rows]
+        expected = len(RatMatrix.from_rows(rows).rref()[1])
+        assert integer_rank(rows) == expected
+        assert rows == before
+    assert integer_rank([]) == 0
+    assert integer_rank([[]]) == 0
+    assert integer_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_clear_denominators_scales_each_row_by_its_lcm():
+    m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 2], [Fraction(-5, 6), 0]])
+    assert clear_denominators(m.rows) == [[3, 2], [3, 2], [-5, 0]]
+    assert clear_denominators([[], [Fraction(0)]]) == [[], [0]]
+    assert m.rank() == 2
