@@ -8,7 +8,6 @@ byte-stable JSON (rationals as strings, sorted keys).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -24,8 +23,14 @@ def _load_spec(path: str) -> ProblemSpec:
     return ProblemSpec.from_json(load_json(path))
 
 
-def _load_pol(path: str):
-    return polarization.Polarization.from_json(load_json(path))
+def _load_pol(path: str, spec: ProblemSpec) -> polarization.Polarization:
+    """A polarization with one weight per summand, normalized against the
+    spec's multiplicities."""
+    pol = polarization.Polarization.from_json(load_json(path))
+    if (len(pol.lam), len(pol.mu)) != (spec.r, spec.s):
+        raise SchemaError(f"the polarization has {len(pol.lam)}+{len(pol.mu)} weights; "
+                          f"the spec has {spec.r}+{spec.s} summands")
+    return polarization.Polarization.make(pol.lam, pol.mu, spec.m, spec.n)
 
 
 def _emit(args, payload: dict) -> None:
@@ -78,7 +83,7 @@ def cmd_dim(args) -> dict:
 def cmd_certify(args) -> dict:
     spec = _load_spec(args.spec)
     sys_ = build_line_bundle_system(spec)
-    pol = _load_pol(args.pol)
+    pol = _load_pol(args.pol, spec)
     return certifier.certify(sys_, pol).to_json()
 
 
@@ -150,7 +155,9 @@ def cmd_region(args) -> dict:
 def cmd_stability(args) -> dict:
     spec = _load_spec(args.spec)
     sys_ = build_line_bundle_system(spec)
-    pol = _load_pol(args.pol)
+    pol = _load_pol(args.pol, spec)
+    if args.budget < 0:
+        raise SchemaError(f"--budget must be non-negative, not {args.budget}")
     w = MorphismElement.from_json(sys_, load_json(args.morphism))
     verdict = stability.destabilizer_search(w, pol, budget=args.budget,
                                             seed=args.seed)
@@ -225,15 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gitpol", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
+    def common(p, spec=True, seed=False):
         if spec:
             p.add_argument("--spec", required=True, help="problem spec JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=200)
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("GITPOL_JOBS", "1")))
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON payload to this file")
-        p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("dim", help="expected quotient dimension")
     common(p)
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("constants", help="source-tagged codimension constants")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--trials", type=int, default=0,
                    help="sample lower bounds for unknown constants")
     p.set_defaults(func=cmd_constants)
@@ -265,13 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("stability", help="destabilizer search on a morphism")
-    common(p)
+    common(p, seed=True)
+    p.add_argument("--budget", type=int, default=200)
     p.add_argument("--pol", required=True)
     p.add_argument("--morphism", required=True)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("embed", help="embedding checks")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--morphism")
     p.add_argument("--check", choices=("equivariance", "injectivity", "zmember"))
     p.set_defaults(func=cmd_embed)

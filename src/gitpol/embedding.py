@@ -7,6 +7,22 @@ embeds block-unitriangularly via theta.  Membership in the orbit saturation of
 the image is decided by exact rank equalities and factorization tests (a map
 factors through a surjection iff it kills the kernel, through an injection iff
 its image fits).
+
+Every map here is built from the pairing tensors with `exact.permute` (a
+reindexing of tensor axes), `exact.block_matrix` and Kronecker factors with
+an identity, never with a hand-written index loop.
+
+The block (l, i) of gamma(w) (rows N_l (x) B*_sl, columns M_i (x) A_i1 (x)
+H_s1) depends on the block phi_li of w alone, through the structure matrix
+T_li : H_li -> B_sl (x) H_s1 (x) A_i1 cached on `BigSetting.t`,
+
+    T_li[(d, ks, c), ki] = sum_k1 comp_bh[(s,l,1)][ks, (d, k1)] comp_ha[(l,i,1)][k1, (ki, c)]:
+
+up to a permutation of coordinates, phi_li -> gamma_li is
+I_{n_l} (x) T_li (x) I_{m_i}.  Different blocks write disjoint coordinates, so
+rank(w -> gamma(w)) = sum n_l m_i rank T_li, while dim W = sum n_l m_i h_li:
+gamma is injective exactly when every T_li has rank h_li, which is what
+`gamma_injectivity_check` tests.
 """
 
 from __future__ import annotations
@@ -16,12 +32,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (ONE, ZERO, RatMatrix, identity_kron_mul, kron, kron_identity_mul,
-                    kron_identity_right, mul_identity_kron, mul_kron_identity,
-                    stack_columns)
+from .exact import (ZERO, RatMatrix, block_matrix, identity_kron_mul, kron,
+                    kron_identity_mul, kron_identity_right, mul_identity_kron,
+                    mul_kron_identity, permute, stack_columns)
 from .polarization import AssociatedPolarization, big_dims
 from .setting import (CompositionSystem, GroupElement, MorphismElement,
-                      SchemaError)
+                      SchemaError, induced_contraction_right)
 from .stability import (NO_DESTABILIZER_FOUND, NOT_STABLE, UNSTABLE,
                         StabilityVerdict, SubspaceFamily)
 
@@ -33,16 +49,17 @@ class BigSetting:
     q: tuple[int, ...]
     xi: dict          # i -> p_{i-1} x (p_i * a(i,i-1)),  i = 2..r
     eta: dict         # l -> q_l x (q_{l+1} * b(l+1,l)),  l = 1..s-1
+    t: dict           # (l, i) -> T_li, (b(s,l) * h(s,1) * a(i,1)) x h(l,i)
 
-    def p_offset(self, i: int, j: int) -> int:
-        """Offset of the block M_j (x) A_ji inside P_i."""
+    def p_sizes(self, i: int) -> list[int]:
+        """Sizes of the blocks M_j (x) A_ji, j = i..r, of P_i."""
         sys = self.system
-        return sum(sys.m[k - 1] * sys.a(k, i) for k in range(i, j))
+        return [sys.m[j - 1] * sys.a(j, i) for j in range(i, sys.r + 1)]
 
-    def q_offset(self, l: int, m: int) -> int:
-        """Offset of the block N_m (x) B*_lm inside Q_l."""
+    def q_sizes(self, l: int) -> list[int]:
+        """Sizes of the blocks N_m (x) B*_lm, m = 1..l, of Q_l."""
         sys = self.system
-        return sum(sys.n[k - 1] * sys.b(l, k) for k in range(1, m))
+        return [sys.n[m - 1] * sys.b(l, m) for m in range(1, l + 1)]
 
 
 @dataclass
@@ -53,45 +70,39 @@ class BigElement:
     y: dict           # l -> RatMatrix, like eta
 
 
+def _bh_by_rows(sys: CompositionSystem, l: int) -> RatMatrix:
+    """comp_bh[(s,l,1)] : B_sl (x) H_l1 -> H_s1 with rows (d, ks), columns k1."""
+    s = sys.s
+    return permute(sys.comp_bh[(s, l, 1)], (sys.h(s, 1),), (sys.b(s, l), sys.h(l, 1)),
+                   (1, 0), (2,))
+
+
 def build_big(sys: CompositionSystem) -> BigSetting:
     p, q = big_dims(sys)
-    big = BigSetting(sys, p, q, {}, {})
+    big = BigSetting(sys, p, q, {}, {}, {})
     for i in range(2, sys.r + 1):
         a_step = sys.a(i, i - 1)
-        mat = RatMatrix.zeros(p[i - 2], p[i - 1] * a_step)
-        for j in range(i, sys.r + 1):
-            comp = sys.comp_aa[(j, i, i - 1)]
-            src_off = big.p_offset(i, j)
-            tgt_off = big.p_offset(i - 1, j)
-            aji, ajim1 = sys.a(j, i), sys.a(j, i - 1)
-            for pp in range(sys.m[j - 1]):
-                for c2 in range(ajim1):
-                    row = comp.rows[c2]
-                    for c in range(aji):
-                        for cs in range(a_step):
-                            v = row[c * a_step + cs]
-                            if v != 0:
-                                mat.rows[tgt_off + pp * ajim1 + c2][
-                                    (src_off + pp * aji + c) * a_step + cs] = v
-        big.xi[i] = mat
+        # block j of P_i maps to block j of P_{i-1} through A_{i,i-1} (x) A_ji -> A_{j,i-1}
+        big.xi[i] = block_matrix(
+            big.p_sizes(i - 1), [d * a_step for d in big.p_sizes(i)],
+            {(j - i + 1, j - i): kron(RatMatrix.identity(sys.m[j - 1]),
+                                      sys.comp_aa[(j, i, i - 1)])
+             for j in range(i, sys.r + 1)})
     for l in range(1, sys.s):
         b_step = sys.b(l + 1, l)
-        mat = RatMatrix.zeros(q[l - 1], q[l] * b_step)
-        for m in range(1, l + 1):
-            comp = sys.comp_bb[(l + 1, l, m)]
-            src_off = big.q_offset(l + 1, m)
-            tgt_off = big.q_offset(l, m)
-            bl1m, blm = sys.b(l + 1, m), sys.b(l, m)
-            for t in range(sys.n[m - 1]):
-                for d2 in range(blm):
-                    for d in range(bl1m):
-                        row = comp.rows[d]
-                        for cb in range(b_step):
-                            v = row[cb * blm + d2]
-                            if v != 0:
-                                mat.rows[tgt_off + t * blm + d2][
-                                    (src_off + t * bl1m + d) * b_step + cb] = v
-        big.eta[l] = mat
+        # block m of Q_{l+1} maps to block m of Q_l through B_{l+1,l} (x) B_lm -> B_{l+1,m}
+        big.eta[l] = block_matrix(
+            big.q_sizes(l), [d * b_step for d in big.q_sizes(l + 1)],
+            {(m - 1, m - 1): kron(RatMatrix.identity(sys.n[m - 1]),
+                                  permute(sys.comp_bb[(l + 1, l, m)], (sys.b(l + 1, m),),
+                                          (b_step, sys.b(l, m)), (2,), (0, 1)))
+             for m in range(1, l + 1)})
+    for l in range(1, sys.s + 1):
+        bh = _bh_by_rows(sys, l)
+        for i in range(1, sys.r + 1):
+            big.t[(l, i)] = permute(bh * sys.comp_ha[(l, i, 1)],
+                                    (sys.b(sys.s, l), sys.h(sys.s, 1)),
+                                    (sys.h(l, i), sys.a(i, 1)), (0, 1, 3), (2,))
     return big
 
 
@@ -100,60 +111,26 @@ def zeta(big: BigSetting, w: MorphismElement) -> BigElement:
     sys = big.system
     if w.mults != (sys.m, sys.n):
         raise SchemaError("the embedding is defined at the system multiplicities")
-    s = sys.s
-    h_s1 = sys.h(s, 1)
-    gamma = RatMatrix.zeros(big.q[s - 1], big.p[0] * h_s1)
-    for l in range(1, s + 1):
-        comp_b = sys.comp_bh[(s, l, 1)]     # B_sl (x) H_l1 -> H_s1
-        b_sl = sys.b(s, l)
-        tgt_off = big.q_offset(s, l)
-        for i in range(1, sys.r + 1):
-            comp_a = sys.comp_ha[(l, i, 1)]  # H_li (x) A_i1 -> H_l1
-            blk = w.block(l, i)
-            h_li, a_i1, h_l1 = sys.h(l, i), sys.a(i, 1), sys.h(l, 1)
-            src_off = big.p_offset(1, i)
-            for t in range(sys.n[l - 1]):
-                for pp in range(sys.m[i - 1]):
-                    for ki in range(h_li):
-                        phi = blk.rows[t * h_li + ki][pp]
-                        if phi == 0:
-                            continue
-                        for c in range(a_i1):
-                            col_a = ki * a_i1 + c
-                            for k1 in range(h_l1):
-                                va = comp_a.rows[k1][col_a]
-                                if va == 0:
-                                    continue
-                                for d in range(b_sl):
-                                    col_b = d * h_l1 + k1
-                                    for ks in range(h_s1):
-                                        vb = comp_b.rows[ks][col_b]
-                                        if vb != 0:
-                                            gamma.rows[tgt_off + t * b_sl + d][
-                                                (src_off + pp * a_i1 + c) * h_s1 + ks
-                                            ] += phi * va * vb
+    blocks = {}
+    for (l, i), t_li in big.t.items():
+        phi = w.block(l, i)
+        if phi.is_zero():
+            continue
+        n_l, m_i = sys.n[l - 1], sys.m[i - 1]
+        flat = permute(phi, (n_l, sys.h(l, i)), (m_i,), (1,), (0, 2))   # ki x (t, pp)
+        blocks[(l - 1, i - 1)] = permute(
+            t_li * flat, (sys.b(sys.s, l), sys.h(sys.s, 1), sys.a(i, 1)), (n_l, m_i),
+            (3, 0), (4, 2, 1))                                          # (t, d) x (pp, c, ks)
+    gamma = block_matrix(big.q_sizes(sys.s), [d * sys.h(sys.s, 1) for d in big.p_sizes(1)],
+                         blocks)
     return BigElement(big, dict(big.xi), gamma, dict(big.eta))
 
 
 def gamma_injectivity_check(big: BigSetting) -> bool:
-    """Rank of w -> gamma(w) equals dim W (the embedding is injective)."""
+    """Is w -> gamma(w) injective?  Exactly when every T_li has rank h_li
+    (see the module docstring)."""
     sys = big.system
-    cols = []
-    zero = MorphismElement.zero(sys)
-    for l in range(1, sys.s + 1):
-        for i in range(1, sys.r + 1):
-            blk = zero.block(l, i)
-            for rr in range(blk.nrows):
-                for cc in range(blk.ncols):
-                    w = MorphismElement.zero(sys)
-                    w.blocks[(l, i)].rows[rr][cc] = ONE
-                    g = zeta(big, w).gamma
-                    cols.append([g.rows[a][b] for a in range(g.nrows)
-                                 for b in range(g.ncols)])
-    if not cols:
-        return True
-    mat = RatMatrix.from_columns(cols)
-    return mat.rank_at_least(sys.dim_w)
+    return all(t_li.rank() == sys.h(l, i) for (l, i), t_li in big.t.items())
 
 
 # ----------------------------------------------------------------------
@@ -168,67 +145,29 @@ def theta(big: BigSetting, g: GroupElement) -> tuple[list[RatMatrix], list[RatMa
         raise SchemaError("the group embedding is defined at the system multiplicities")
     left = []
     for i in range(1, sys.r + 1):
-        mat = RatMatrix.zeros(big.p[i - 1], big.p[i - 1])
+        # g_j acts on M_j (x) A_ji; u_kj maps it into M_k (x) A_ki through A_kj (x) A_ji -> A_ki
+        blocks = {}
         for j in range(i, sys.r + 1):
             aji = sys.a(j, i)
-            off_j = big.p_offset(i, j)
-            gj = g.g[j - 1]
-            for p1 in range(sys.m[j - 1]):
-                for p2 in range(sys.m[j - 1]):
-                    v = gj.rows[p1][p2]
-                    if v != 0:
-                        for c in range(aji):
-                            mat.rows[off_j + p1 * aji + c][off_j + p2 * aji + c] = v
+            blocks[(j - i, j - i)] = kron_identity_right(g.g[j - 1], aji)
             for k in range(j + 1, sys.r + 1):
-                comp = sys.comp_aa[(k, j, i)]
-                aki, akj = sys.a(k, i), sys.a(k, j)
-                off_k = big.p_offset(i, k)
-                ukj = g.u[(k, j)]
-                for pk in range(sys.m[k - 1]):
-                    for pj in range(sys.m[j - 1]):
-                        for ckj in range(akj):
-                            uval = ukj.rows[pk * akj + ckj][pj]
-                            if uval == 0:
-                                continue
-                            for cki in range(aki):
-                                row = comp.rows[cki]
-                                for cji in range(aji):
-                                    v = row[ckj * aji + cji]
-                                    if v != 0:
-                                        mat.rows[off_k + pk * aki + cki][
-                                            off_j + pj * aji + cji] += uval * v
-        left.append(mat)
+                blocks[(k - i, j - i)] = identity_kron_mul(
+                    sys.m[k - 1], sys.comp_aa[(k, j, i)], kron_identity_right(g.u[(k, j)], aji))
+        left.append(block_matrix(big.p_sizes(i), big.p_sizes(i), blocks))
     right = []
     for l in range(1, sys.s + 1):
-        mat = RatMatrix.zeros(big.q[l - 1], big.q[l - 1])
+        # h_m acts on N_m (x) B*_lm; v_km maps it into N_k (x) B*_lk through the
+        # contraction of B_lk (x) B_km -> B_lm
+        blocks = {}
         for m in range(1, l + 1):
             blm = sys.b(l, m)
-            off_m = big.q_offset(l, m)
-            hm = g.hh[m - 1]
-            for t1 in range(sys.n[m - 1]):
-                for t2 in range(sys.n[m - 1]):
-                    v = hm.rows[t1][t2]
-                    if v != 0:
-                        for d in range(blm):
-                            mat.rows[off_m + t1 * blm + d][off_m + t2 * blm + d] = v
+            blocks[(m - 1, m - 1)] = kron_identity_right(g.hh[m - 1], blm)
             for k in range(m + 1, l + 1):
-                comp = sys.comp_bb[(l, k, m)]
-                blk_, bkm = sys.b(l, k), sys.b(k, m)
-                off_k = big.q_offset(l, k)
-                vkm = g.v[(k, m)]
-                for tk in range(sys.n[k - 1]):
-                    for tm in range(sys.n[m - 1]):
-                        for cb in range(bkm):
-                            uval = vkm.rows[tk * bkm + cb][tm]
-                            if uval == 0:
-                                continue
-                            for d2 in range(blk_):
-                                for d in range(blm):
-                                    v = comp.rows[d][d2 * bkm + cb]
-                                    if v != 0:
-                                        mat.rows[off_k + tk * blk_ + d2][
-                                            off_m + tm * blm + d] += uval * v
-        right.append(mat)
+                contraction = induced_contraction_right(sys.comp_bb[(l, k, m)], sys.b(l, k),
+                                                        sys.b(k, m), blm)
+                blocks[(k - 1, m - 1)] = identity_kron_mul(
+                    sys.n[k - 1], contraction, kron_identity_right(g.v[(k, m)], blm))
+        right.append(block_matrix(big.q_sizes(l), big.q_sizes(l), blocks))
     return left, right
 
 
@@ -295,15 +234,7 @@ class ZReport:
 def _reshaped_y_rank(sys: CompositionSystem, big: BigSetting, l: int,
                      y: RatMatrix) -> int:
     """Rank of y_l viewed as Q_{l+1} -> B*_{l+1,l} (x) Q_l."""
-    b_step = sys.b(l + 1, l)
-    out = RatMatrix.zeros(b_step * big.q[l - 1], big.q[l])
-    for t in range(big.q[l - 1]):
-        for u in range(big.q[l]):
-            for cb in range(b_step):
-                v = y.rows[t][u * b_step + cb]
-                if v != 0:
-                    out.rows[cb * big.q[l - 1] + t][u] = v
-    return out.rank()
+    return _reshape_y(big, l, y).rank()
 
 
 def z_membership(bw: BigElement) -> ZReport:
@@ -343,7 +274,7 @@ def z_membership(bw: BigElement) -> ZReport:
     if sys.r >= 2:
         x1[2] = bw.x[2]
     composite = bw.x.get(2)
-    tdim = sys.a(2, 1)
+    tdim = sys.a(2, 1) if sys.r >= 2 else 1
     for i in range(3, sys.r + 1):
         composite = mul_kron_identity(composite, bw.x[i], tdim)
         tdim *= sys.a(i, i - 1)
@@ -422,58 +353,25 @@ def z_membership(bw: BigElement) -> ZReport:
 
 def _reshape_y(big: BigSetting, l: int, y: RatMatrix) -> RatMatrix:
     """y_l as a map Q_{l+1} -> B*_{l+1,l} (x) Q_l."""
-    sys = big.system
-    b_step = sys.b(l + 1, l)
-    out = RatMatrix.zeros(b_step * big.q[l - 1], big.q[l])
-    for t in range(big.q[l - 1]):
-        for u in range(big.q[l]):
-            for cb in range(b_step):
-                v = y.rows[t][u * b_step + cb]
-                if v != 0:
-                    out.rows[cb * big.q[l - 1] + t][u] = v
-    return out
+    return permute(y, (big.q[l - 1],), (big.q[l], big.system.b(l + 1, l)), (2, 0), (1,))
 
 
 def _ytilde(sys: CompositionSystem, big: BigSetting, l: int,
             yls: RatMatrix) -> RatMatrix:
     """y_{ls} as a map Q_s (x) B_sl -> Q_l."""
-    b_sl = sys.b(sys.s, l)
-    out = RatMatrix.zeros(big.q[l - 1], big.q[sys.s - 1] * b_sl)
-    for d in range(b_sl):
-        for t in range(big.q[l - 1]):
-            for u in range(big.q[sys.s - 1]):
-                v = yls.rows[d * big.q[l - 1] + t][u]
-                if v != 0:
-                    out.rows[t][u * b_sl + d] = v
-    return out
+    return permute(yls, (sys.b(sys.s, l), big.q[l - 1]), (big.q[sys.s - 1],), (1,), (2, 0))
 
 
 def _reshape_gamma(big: BigSetting, gamma: RatMatrix) -> RatMatrix:
     """gamma as a map P_1 -> Q_s (x) H_s1."""
     sys = big.system
-    h_s1 = sys.h(sys.s, 1)
-    out = RatMatrix.zeros(big.q[sys.s - 1] * h_s1, big.p[0])
-    for t in range(big.q[sys.s - 1]):
-        for p in range(big.p[0]):
-            for ks in range(h_s1):
-                v = gamma.rows[t][p * h_s1 + ks]
-                if v != 0:
-                    out.rows[t * h_s1 + ks][p] = v
-    return out
+    return permute(gamma, (big.q[sys.s - 1],), (big.p[0], sys.h(sys.s, 1)), (0, 2), (1,))
 
 
 def _reshape_x1(big: BigSetting, sys: CompositionSystem, i: int,
                 x1i: RatMatrix) -> RatMatrix:
     """x_{1i} as a map P_i -> P_1 (x) A*_i1."""
-    a_i1 = sys.a(i, 1)
-    out = RatMatrix.zeros(big.p[0] * a_i1, big.p[i - 1])
-    for p1 in range(big.p[0]):
-        for pi in range(big.p[i - 1]):
-            for c in range(a_i1):
-                v = x1i.rows[p1][pi * a_i1 + c]
-                if v != 0:
-                    out.rows[p1 * a_i1 + c][pi] = v
-    return out
+    return permute(x1i, (big.p[0],), (big.p[i - 1], sys.a(i, 1)), (0, 2), (1,))
 
 
 def _chain_tau_b(sys: CompositionSystem, l: int) -> RatMatrix:
@@ -488,69 +386,35 @@ def _chain_tau_b(sys: CompositionSystem, l: int) -> RatMatrix:
 
 def _sigma_ah(sys: CompositionSystem, big: BigSetting, i: int) -> RatMatrix:
     """Surjection P_i (x) A_i1 (x) H*_s1 -> P_i (x) H*_si."""
-    comp = sys.comp_ha[(sys.s, i, 1)]      # H_si (x) A_i1 -> H_s1
-    a_i1, h_si, h_s1 = sys.a(i, 1), sys.h(sys.s, i), sys.h(sys.s, 1)
-    pdim = big.p[i - 1]
-    out = RatMatrix.zeros(pdim * h_si, pdim * a_i1 * h_s1)
-    for ksi in range(h_si):
-        for c in range(a_i1):
-            row_block = comp.rows
-            for k1 in range(h_s1):
-                v = row_block[k1][ksi * a_i1 + c]
-                if v != 0:
-                    for p in range(pdim):
-                        out.rows[p * h_si + ksi][(p * a_i1 + c) * h_s1 + k1] = v
-    return out
+    s = sys.s
+    return kron(RatMatrix.identity(big.p[i - 1]),
+                induced_contraction_right(sys.comp_ha[(s, i, 1)], sys.h(s, i),
+                                          sys.a(i, 1), sys.h(s, 1)))
 
 
 def _sigma_bh_mixed(sys: CompositionSystem, big: BigSetting, l: int,
                     i: int) -> RatMatrix:
     """Surjection P_i (x) H*_si (x) B_sl -> P_i (x) H*_li."""
-    comp = sys.comp_bh[(sys.s, l, i)]      # B_sl (x) H_li -> H_si
-    b_sl, h_li, h_si = sys.b(sys.s, l), sys.h(l, i), sys.h(sys.s, i)
-    pdim = big.p[i - 1]
-    out = RatMatrix.zeros(pdim * h_li, pdim * h_si * b_sl)
-    for kli in range(h_li):
-        for d in range(b_sl):
-            for ksi in range(h_si):
-                v = comp.rows[ksi][d * h_li + kli]
-                if v != 0:
-                    for p in range(pdim):
-                        out.rows[p * h_li + kli][(p * h_si + ksi) * b_sl + d] = v
-    return out
+    s = sys.s
+    return kron(RatMatrix.identity(big.p[i - 1]),
+                permute(sys.comp_bh[(s, l, i)], (sys.h(s, i),), (sys.b(s, l), sys.h(l, i)),
+                        (2,), (0, 1)))
 
 
 def _iota_bh(sys: CompositionSystem, big: BigSetting, l: int) -> RatMatrix:
     """Injection Q_l (x) H_l1 -> B*_sl (x) Q_l (x) H_s1."""
-    comp = sys.comp_bh[(sys.s, l, 1)]      # B_sl (x) H_l1 -> H_s1
-    b_sl, h_l1, h_s1 = sys.b(sys.s, l), sys.h(l, 1), sys.h(sys.s, 1)
     qdim = big.q[l - 1]
-    out = RatMatrix.zeros(b_sl * qdim * h_s1, qdim * h_l1)
-    for d in range(b_sl):
-        for k1 in range(h_l1):
-            for ks in range(h_s1):
-                v = comp.rows[ks][d * h_l1 + k1]
-                if v != 0:
-                    for t in range(qdim):
-                        out.rows[(d * qdim + t) * h_s1 + ks][t * h_l1 + k1] = v
-    return out
+    return permute(kron(RatMatrix.identity(qdim), _bh_by_rows(sys, l)),
+                   (qdim, sys.b(sys.s, l), sys.h(sys.s, 1)), (qdim, sys.h(l, 1)),
+                   (1, 0, 2), (3, 4))
 
 
 def _iota_ha_mixed(sys: CompositionSystem, big: BigSetting, l: int,
                    i: int) -> RatMatrix:
     """Injection Q_l (x) H_li -> Q_l (x) H_l1 (x) A*_i1."""
-    comp = sys.comp_ha[(l, i, 1)]          # H_li (x) A_i1 -> H_l1
-    a_i1, h_li, h_l1 = sys.a(i, 1), sys.h(l, i), sys.h(l, 1)
-    qdim = big.q[l - 1]
-    out = RatMatrix.zeros(qdim * h_l1 * a_i1, qdim * h_li)
-    for k1 in range(h_l1):
-        for c in range(a_i1):
-            for kli in range(h_li):
-                v = comp.rows[k1][kli * a_i1 + c]
-                if v != 0:
-                    for t in range(qdim):
-                        out.rows[(t * h_l1 + k1) * a_i1 + c][t * h_li + kli] = v
-    return out
+    return kron(RatMatrix.identity(big.q[l - 1]),
+                permute(sys.comp_ha[(l, i, 1)], (sys.h(l, 1),), (sys.h(l, i), sys.a(i, 1)),
+                        (0, 2), (1,)))
 
 
 # ----------------------------------------------------------------------
@@ -696,34 +560,18 @@ def chain_invariant(bw: BigElement, fam: SubspaceFamily) -> bool:
 
 
 def saturated_family(big: BigSetting, fam: SubspaceFamily) -> SubspaceFamily:
-    """Transport a small-space family to the block-sum spaces."""
+    """Transport a small-space family to the block-sum spaces: M'_j spans
+    M'_j (x) A_ji inside P_i, and N'_m spans N'_m (x) B*_lm inside Q_l."""
     sys = big.system
-    p_bases = []
-    for i in range(1, sys.r + 1):
-        cols = []
-        for j in range(i, sys.r + 1):
-            basis = fam.mprime[j - 1]
-            aji = sys.a(j, i)
-            off = big.p_offset(i, j)
-            for cidx in range(basis.ncols):
-                for c in range(aji):
-                    vec = [ZERO] * big.p[i - 1]
-                    for p in range(sys.m[j - 1]):
-                        vec[off + p * aji + c] = basis.rows[p][cidx]
-                    cols.append(vec)
-        p_bases.append(stack_columns(cols, big.p[i - 1]).column_space_basis())
-    q_bases = []
-    for l in range(1, sys.s + 1):
-        cols = []
-        for m in range(1, l + 1):
-            basis = fam.nprime[m - 1]
-            blm = sys.b(l, m)
-            off = big.q_offset(l, m)
-            for cidx in range(basis.ncols):
-                for d in range(blm):
-                    vec = [ZERO] * big.q[l - 1]
-                    for t in range(sys.n[m - 1]):
-                        vec[off + t * blm + d] = basis.rows[t][cidx]
-                    cols.append(vec)
-        q_bases.append(stack_columns(cols, big.q[l - 1]).column_space_basis())
-    return SubspaceFamily(tuple(p_bases), tuple(q_bases))
+
+    def span(sizes: list[int], blocks: list[RatMatrix]) -> RatMatrix:
+        return block_matrix(sizes, [b.ncols for b in blocks],
+                            {(k, k): b for k, b in enumerate(blocks)}).column_space_basis()
+
+    p_bases = tuple(span(big.p_sizes(i), [kron_identity_right(fam.mprime[j - 1], sys.a(j, i))
+                                          for j in range(i, sys.r + 1)])
+                    for i in range(1, sys.r + 1))
+    q_bases = tuple(span(big.q_sizes(l), [kron_identity_right(fam.nprime[m - 1], sys.b(l, m))
+                                          for m in range(1, l + 1)])
+                    for l in range(1, sys.s + 1))
+    return SubspaceFamily(p_bases, q_bases)

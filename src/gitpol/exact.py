@@ -6,23 +6,31 @@ Elimination uses deterministic first-nonzero pivoting, so ranks, kernels,
 column spaces and solved systems are reproducible bit for bit.  Nothing in
 this module (or the package) ever rounds.
 
-`integer_rank` is the one integer elimination core: fraction-free (Bareiss)
-elimination on integer rows.  `RatMatrix.rank` clears denominators row by
-row (`clear_denominators`) and calls it, and `constants` ranks its integer
-matrices with it directly.
+Two elimination cores remain.  `integer_rank` is fraction-free (Bareiss)
+elimination on integer rows: `RatMatrix.rank` (and so `rank_at_least`)
+clears denominators row by row (`clear_denominators`) and calls it, and
+`constants` ranks its integer matrices with it directly.  `RatMatrix.rref`
+eliminates over Fraction, for kernels, column spaces and solves.
 
 Kronecker factors with an identity, X (x) I_n and I_n (x) X, are applied
 implicitly by `mul_kron_identity`, `kron_identity_mul`, `mul_identity_kron`
 and `identity_kron_mul` (the "vec trick", Van Loan 2000): they loop over the
 nonzeros of X and of the dense factor and never build the product.  `kron`
 and `kron_identity_right` build the matrix itself, for the places that need
-it (a system to solve, a reference value in tests).
+it (a system to solve, a block of a larger matrix, a reference value in
+tests).
+
+Tensors are reindexed by `permute`, which reads a matrix as a tensor whose
+row and column indices are each flattened row-major, and regroups its axes
+into new row and column indices.  `block_matrix` assembles a matrix from
+blocks.  Together they replace hand-written index loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -32,10 +40,13 @@ ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like '3/4' or '-2', or Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' or '-2', or Fractions to Fraction.
+
+    Booleans are rejected, although `bool` is a subclass of `int`.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -245,41 +256,7 @@ class RatMatrix:
         return integer_rank(clear_denominators(self.rows))
 
     def rank_at_least(self, target: int) -> bool:
-        """Certified test rank >= target.
-
-        Reduction modulo a large prime can only lower the rank, so reaching
-        the target there is an exact certificate; otherwise fall back to the
-        rational elimination.  (Exact arithmetic throughout; no rounding.)
-        """
-        if target <= 0:
-            return True
-        if target > min(self.nrows, self.ncols):
-            return False
-        p = (1 << 61) - 1
-        rows = []
-        for r in clear_denominators(self.rows):
-            row = [v % p for v in r]
-            if any(row):
-                rows.append(row)
-        rank = 0
-        ncols = self.ncols
-        for c in range(ncols):
-            piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = pow(rows[rank][c], p - 2, p)
-            prow = rows[rank]
-            for i in range(rank + 1, len(rows)):
-                f = rows[i][c]
-                if f:
-                    fi = f * inv % p
-                    ri = rows[i]
-                    for j in range(c, ncols):
-                        ri[j] = (ri[j] - fi * prow[j]) % p
-            rank += 1
-            if rank >= target:
-                return True
+        """Exact test rank >= target."""
         return self.rank() >= target
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
@@ -485,6 +462,67 @@ def identity_kron_mul(n: int, x: RatMatrix, b: RatMatrix) -> RatMatrix:
                     orow[c] += v * bv
             out.append(orow)
     return RatMatrix(n * x.nrows, b.ncols, out)
+
+
+def permute(mat: RatMatrix, row_dims: Sequence[int], col_dims: Sequence[int],
+            rows: Sequence[int], cols: Sequence[int]) -> RatMatrix:
+    """Reindex a matrix read as a tensor.
+
+    `mat` is read as a tensor with axes `row_dims + col_dims`: its row index
+    is the axes of `row_dims` flattened row-major, its column index those of
+    `col_dims` (the package convention (x, y) -> x * dim(Y) + y).  The
+    result's row index is the axes `rows`, in that order and flattened
+    row-major, its column index the axes `cols`; every axis is used exactly
+    once.  Only the nonzero entries are visited.
+    """
+    dims = tuple(row_dims) + tuple(col_dims)
+    if (prod(row_dims), prod(col_dims)) != mat.shape:
+        raise ValueError(f"a {mat.shape} matrix is not a {row_dims} x {col_dims} tensor")
+    if sorted((*rows, *cols)) != list(range(len(dims))):
+        raise ValueError(f"axes {rows} + {cols} are not a permutation of {len(dims)} axes")
+    # stride of each axis in the result's (row, column) index
+    stride = [(0, 0)] * len(dims)
+    for side, axes in enumerate((rows, cols)):
+        step = 1
+        for a in reversed(axes):
+            stride[a] = (step, 0) if side == 0 else (0, step)
+            step *= dims[a]
+
+    def offsets(axes: range) -> list[tuple[int, int]]:
+        """(row, column) offset in the result of each flat index over `axes`."""
+        table = [(0, 0)]
+        for a in axes:
+            sr, sc = stride[a]
+            table = [(r + k * sr, c + k * sc) for r, c in table for k in range(dims[a])]
+        return table
+
+    col_offsets = offsets(range(len(row_dims), len(dims)))
+    nrows, ncols = prod(dims[a] for a in rows), prod(dims[a] for a in cols)
+    out = [[ZERO] * ncols for _ in range(nrows)]
+    for (r0, c0), row in zip(offsets(range(len(row_dims))), mat.rows):
+        for j, v in enumerate(row):
+            if v:
+                r1, c1 = col_offsets[j]
+                out[r0 + r1][c0 + c1] = v
+    return RatMatrix(nrows, ncols, out)
+
+
+def block_matrix(row_sizes: Sequence[int], col_sizes: Sequence[int],
+                 blocks: dict[tuple[int, int], RatMatrix]) -> RatMatrix:
+    """The matrix with block rows of `row_sizes` and block columns of
+    `col_sizes`, whose block (bi, bj) is `blocks[(bi, bj)]`; missing blocks
+    are zero."""
+    row_off = list(accumulate(row_sizes, initial=0))
+    col_off = list(accumulate(col_sizes, initial=0))
+    out = [[ZERO] * col_off[-1] for _ in range(row_off[-1])]
+    for (bi, bj), blk in blocks.items():
+        if blk.shape != (row_sizes[bi], col_sizes[bj]):
+            raise ValueError(f"block {(bi, bj)} is {blk.shape}, "
+                             f"expected {(row_sizes[bi], col_sizes[bj])}")
+        c0, c1 = col_off[bj], col_off[bj + 1]
+        for r, row in enumerate(blk.rows, row_off[bi]):
+            out[r][c0:c1] = row
+    return RatMatrix(row_off[-1], col_off[-1], out)
 
 
 def stack_columns(columns: list[list[Fraction]], nrows: int) -> RatMatrix:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (ONE, RatMatrix, identity_kron_mul, kron_identity_mul,
-                    mul_identity_kron, mul_kron_identity, rat)
+                    mul_identity_kron, mul_kron_identity, permute, rat)
 # kept importable from here: perfbench's tracer test rebinds this name
 from .exact import kron_identity_right  # noqa: F401
 from .poly import Poly, mult_map, sym_dim
@@ -244,15 +244,7 @@ def induced_contraction_right(comp: RatMatrix, dim_src: int, dim_a: int,
     Entry [(s), (a, t)] of the result is comp[t, (s, a)]; dual bases are
     indexed like the original bases.
     """
-    out = RatMatrix.zeros(dim_src, dim_a * dim_tgt)
-    for t in range(dim_tgt):
-        row = comp.rows[t]
-        for s in range(dim_src):
-            for a in range(dim_a):
-                v = row[s * dim_a + a]
-                if v != 0:
-                    out.rows[s][a * dim_tgt + t] = v
-    return out
+    return permute(comp, (dim_tgt,), (dim_src, dim_a), (1,), (2, 0))
 
 
 def induced_contraction_left(comp: RatMatrix, dim_b: int, dim_src: int,
@@ -261,15 +253,7 @@ def induced_contraction_left(comp: RatMatrix, dim_b: int, dim_src: int,
 
     Entry [s, (b, t)] of the result is comp[t, (b, s)].
     """
-    out = RatMatrix.zeros(dim_src, dim_b * dim_tgt)
-    for t in range(dim_tgt):
-        row = comp.rows[t]
-        for b in range(dim_b):
-            for s in range(dim_src):
-                v = row[b * dim_src + s]
-                if v != 0:
-                    out.rows[s][b * dim_tgt + t] = v
-    return out
+    return permute(comp, (dim_tgt,), (dim_b, dim_src), (2,), (1, 0))
 
 
 def build_line_bundle_system(spec: ProblemSpec) -> CompositionSystem:

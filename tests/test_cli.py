@@ -135,16 +135,6 @@ def test_byte_identical_reruns(files):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_jobs_flag_does_not_change_output(files, monkeypatch):
-    out1 = files["tmp"] / "j1.json"
-    out2 = files["tmp"] / "j4.json"
-    args = ["chambers", "--spec", files["spec21"], "--window", "0,1"]
-    assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
-    monkeypatch.setenv("GITPOL_JOBS", "4")
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_schema_error_exit_code(files, capsys):
     bad = files["tmp"] / "bad.json"
     bad.write_text(json.dumps({"schema": "1", "ambient_dim": 2,
@@ -206,3 +196,35 @@ def test_spec_integers_are_parsed_strictly(files, capsys):
     code, text = run(["dim", "--spec", str(ok)], files["tmp"] / "dim_str.json")
     assert code == 0
     assert json.loads(text)["expected_dimension"] == 26
+
+
+def test_boolean_weight_is_an_input_error(files, capsys):
+    bad = files["tmp"] / "bool_pol.json"
+    bad.write_text(json.dumps(dict(POL_21P2, **{"lambda": [True, "2/3"]})))
+    _assert_input_error(["certify", "--spec", files["spec21"], "--pol", str(bad)], capsys)
+
+
+def test_unnormalized_or_misshapen_polarization_is_an_input_error(files, capsys):
+    # sum mu_l n_l = 3/2; one weight too few; one weight too many
+    for lam, mu in ((["1/6", "2/3"], ["1/2"]), (["1/2"], ["1/3"]),
+                    (["1/6", "2/3"], ["1/3", "0"])):
+        bad = files["tmp"] / "bad_norm.json"
+        bad.write_text(json.dumps(dict(POL_21P2, **{"lambda": lam, "mu": mu})))
+        for cmd in (["certify"], ["stability", "--morphism", files["morph21"]]):
+            _assert_input_error(cmd + ["--spec", files["spec21"], "--pol", str(bad)], capsys)
+
+
+def test_negative_budget_is_an_input_error(files, capsys):
+    _assert_input_error(["stability", "--spec", files["spec21"], "--pol", files["pol21"],
+                         "--morphism", files["morph21"], "--budget", "-3"], capsys)
+
+
+def test_unread_flags_are_not_accepted(files, capsys):
+    for args in (["chambers", "--spec", files["spec21"], "--jobs", "2"],
+                 ["dim", "--spec", files["spec21"], "--format", "json"],
+                 ["dim", "--spec", files["spec21"], "--seed", "1"],
+                 ["certify", "--spec", files["spec21"], "--pol", files["pol21"],
+                  "--budget", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2

@@ -222,3 +222,83 @@ def test_boundary_detected_unstable_when_conditions_hold():
         assert z_membership(degenerate).status == "boundary"
         verdict = big_destabilizer_search(degenerate, assoc, budget=100, seed=k)
         assert verdict.status == UNSTABLE
+
+
+def ref_gamma(big, w):
+    """gamma(w) by the seven-deep index loop that `zeta` replaced."""
+    sys = big.system
+    s, h_s1 = sys.s, sys.h(sys.s, 1)
+    gamma = RatMatrix.zeros(big.q[s - 1], big.p[0] * h_s1)
+    for l in range(1, s + 1):
+        comp_b = sys.comp_bh[(s, l, 1)]
+        b_sl = sys.b(s, l)
+        tgt_off = sum(big.q_sizes(s)[:l - 1])
+        for i in range(1, sys.r + 1):
+            comp_a = sys.comp_ha[(l, i, 1)]
+            blk = w.block(l, i)
+            h_li, a_i1, h_l1 = sys.h(l, i), sys.a(i, 1), sys.h(l, 1)
+            src_off = sum(big.p_sizes(1)[:i - 1])
+            for t in range(sys.n[l - 1]):
+                for pp in range(sys.m[i - 1]):
+                    for ki in range(h_li):
+                        phi = blk.rows[t * h_li + ki][pp]
+                        if phi == 0:
+                            continue
+                        for c in range(a_i1):
+                            for k1 in range(h_l1):
+                                va = comp_a.rows[k1][ki * a_i1 + c]
+                                if va == 0:
+                                    continue
+                                for d in range(b_sl):
+                                    for ks in range(h_s1):
+                                        vb = comp_b.rows[ks][d * h_l1 + k1]
+                                        if vb != 0:
+                                            gamma.rows[tgt_off + t * b_sl + d][
+                                                (src_off + pp * a_i1 + c) * h_s1 + ks
+                                            ] += phi * va * vb
+    return gamma
+
+
+SYS_TINY = build_line_bundle_system(ProblemSpec(2, ((-1, 2),), ((0, 2),)))
+
+
+def test_zeta_matches_reference_loop():
+    for sysm in (SYS_21P2, SYS_22P3, SYS_31P3, SYS_TINY):
+        big = build_big(sysm)
+        for k in range(3):
+            w = random_morphism(sysm, 40 + k, 2)
+            assert zeta(big, w).gamma == ref_gamma(big, w)
+
+
+def old_injectivity(big):
+    """The rank of the matrix of w -> gamma(w), from unit vectors of W."""
+    sysm = big.system
+    cols = []
+    for (l, i), blk in MorphismElement.zero(sysm).blocks.items():
+        for rr in range(blk.nrows):
+            for cc in range(blk.ncols):
+                w = MorphismElement.zero(sysm)
+                w.blocks[(l, i)].rows[rr][cc] = F(1)
+                cols.append([x for row in zeta(big, w).gamma.rows for x in row])
+    return RatMatrix.from_columns(cols).rank() == sysm.dim_w
+
+
+def test_gamma_injectivity_check_equals_unit_vector_rank():
+    for sysm in (SYS_21P2, SYS_22P3, SYS_31P3, SYS_TINY):
+        big = build_big(sysm)
+        assert gamma_injectivity_check(big) == old_injectivity(big) is True
+    # a pairing that kills one basis vector of H_12 makes gamma non-injective
+    import copy
+
+    broken = copy.copy(SYS_21P2)
+    comp = RatMatrix.from_rows([list(r) for r in SYS_21P2.comp_ha[(1, 2, 1)].rows])
+    for row in comp.rows:
+        row[:SYS_21P2.a(2, 1)] = [F(0)] * SYS_21P2.a(2, 1)
+    broken.comp_ha = {**SYS_21P2.comp_ha, (1, 2, 1): comp}
+    big = build_big(broken)
+    assert gamma_injectivity_check(big) == old_injectivity(big) is False
+
+
+def test_z_membership_with_one_summand_per_side():
+    big = build_big(SYS_TINY)
+    assert z_membership(zeta(big, random_morphism(SYS_TINY, 5, 2))).status == "in_Z"
