@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import ONE, ZERO, RatMatrix, clear_denominators, integer_rank
+from .exact import ZERO, RatMatrix, clear_denominators, integer_rank
 from .poly import sym_dim
 from .setting import (CompositionSystem, ProblemSpec, SchemaError,
                       build_line_bundle_system, induced_contraction_right)
@@ -323,8 +323,8 @@ def _structured_candidates(problem: RhoProblem):
         cols = []
         for k in slot_ids:
             for c in range(problem.block_adims[slots[k]]):
-                vec = [ZERO] * dim
-                vec[offs[k] + c] = ONE
+                vec = [0] * dim
+                vec[offs[k] + c] = 1
                 cols.append(vec)
         return cols
 
@@ -341,10 +341,10 @@ def _structured_candidates(problem: RhoProblem):
             for lin in _degree_shift_maps(problem, b1, b2):
                 cols = []
                 for c in range(a1):
-                    vec = [ZERO] * dim
-                    vec[offs[s1] + c] = ONE
+                    vec = [0] * dim
+                    vec[offs[s1] + c] = 1
                     for t in range(a2):
-                        if lin.rows[t][c] != 0:
+                        if lin.rows[t][c]:
                             vec[offs[s2] + t] += lin.rows[t][c]
                     cols.append(vec)
                 rest = [k for k in range(nslots) if k not in (s1, s2)]
@@ -352,19 +352,19 @@ def _structured_candidates(problem: RhoProblem):
     # single vectors with staggered coordinate entries across the slots
     maxa = max(problem.block_adims) if problem.block_adims else 0
     for off in range(maxa):
-        vec = [ZERO] * dim
+        vec = [0] * dim
         for k in range(nslots):
             a = problem.block_adims[slots[k]]
-            vec[offs[k] + ((off + k) % a)] = ONE
+            vec[offs[k] + ((off + k) % a)] = 1
         yield RatMatrix.from_columns([vec])
     # coordinate-complement subspaces of codimension one and two
     for drop in range(dim):
-        cols = [[ONE if i == j else ZERO for i in range(dim)]
+        cols = [[1 if i == j else 0 for i in range(dim)]
                 for j in range(dim) if j != drop]
         yield RatMatrix.from_columns(cols)
     for d1 in range(dim):
         for d2 in range(d1 + 1, dim):
-            cols = [[ONE if i == j else ZERO for i in range(dim)]
+            cols = [[1 if i == j else 0 for i in range(dim)]
                     for j in range(dim) if j not in (d1, d2)]
             yield RatMatrix.from_columns(cols)
 
@@ -392,7 +392,7 @@ def _degree_shift_maps(problem: RhoProblem, b1: int, b2: int):
         for mono in monomial_basis(nv, d2 - d1):
             out = RatMatrix.zeros(a2, a1)
             for c, m1 in enumerate(src):
-                out.rows[tgt_index[tuple(x + y for x, y in zip(m1, mono))]][c] = ONE
+                out.rows[tgt_index[tuple(x + y for x, y in zip(m1, mono))]][c] = 1
             yield out
         return
     if a1 == a2:
@@ -401,7 +401,7 @@ def _degree_shift_maps(problem: RhoProblem, b1: int, b2: int):
     for shift in range(a2 - a1 + 1):
         out = RatMatrix.zeros(a2, a1)
         for c in range(a1):
-            out.rows[c + shift][c] = ONE
+            out.rows[c + shift][c] = 1
         yield out
 
 
@@ -432,7 +432,7 @@ def sampled_lower_bound(problem: RhoProblem, seed: int, trials: int) -> LowerBou
             return LowerBound(best, witness, used)
     while used < trials:
         k = rng.randrange(1, dim) if dim > 1 else 1
-        cols = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(k)]
+        cols = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(k)]
         if consider(RatMatrix.from_columns(cols)):
             break
     return LowerBound(best, witness, used)
@@ -470,7 +470,7 @@ def pad_witness(problem: RhoProblem, basis: RatMatrix, extra_block: int,
         slot_map.append(k)
     cols = []
     for col in range(basis.ncols):
-        vec = [ZERO] * bigger.src_dim
+        vec = [0] * bigger.src_dim
         for k_old, k_new in enumerate(slot_map):
             a = problem.block_adims[old_slots[k_old]]
             for c in range(a):
@@ -480,7 +480,7 @@ def pad_witness(problem: RhoProblem, basis: RatMatrix, extra_block: int,
         if not used:
             a = bigger.block_adims[new_slots[k_new]]
             for c in range(a):
-                vec = [ZERO] * bigger.src_dim
-                vec[new_offs[k_new] + c] = ONE
+                vec = [0] * bigger.src_dim
+                vec[new_offs[k_new] + c] = 1
                 cols.append(vec)
     return bigger, RatMatrix.from_columns(cols)

@@ -1,7 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are arbitrary-precision `fractions.Fraction` values (always in lowest
-terms with positive denominator), matrices are dense row-major grids of them.
+Matrices are dense row-major grids of exact rationals.  A stored entry is an
+`int` when integral and a `fractions.Fraction` otherwise: `RatMatrix.__init__`
+stores a `Fraction` with denominator 1 as its numerator and rejects anything
+else (a float, a bool).  Nearly every entry is an integer (0/1 pairing
+tensors, integral morphisms and group elements), and zero tests and
+arithmetic on `int` run at C speed.  Entries are never divided with `/`,
+which gives a float on two ints; `rref` divides through `_div`.
+
+`rat` stays the scalar coercion and always returns a `Fraction`: weights,
+discriminants and polynomial coefficients are divided with `/` across the
+package, which is exact only on `Fraction`.
+
 Elimination uses deterministic first-nonzero pivoting, so ranks, kernels,
 column spaces and solved systems are reproducible bit for bit.  Nothing in
 this module (or the package) ever rounds.
@@ -10,7 +20,8 @@ Two elimination cores remain.  `integer_rank` is fraction-free (Bareiss)
 elimination on integer rows: `RatMatrix.rank` (and so `rank_at_least`)
 clears denominators row by row (`clear_denominators`) and calls it, and
 `constants` ranks its integer matrices with it directly.  `RatMatrix.rref`
-eliminates over Fraction, for kernels, column spaces and solves.
+is Gauss-Jordan elimination for kernels, column spaces and solves; it keeps
+integer rows integral wherever the pivot allows it.
 
 Kronecker factors with an identity, X (x) I_n and I_n (x) X, are applied
 implicitly by `mul_kron_identity`, `kron_identity_mul`, `mul_identity_kron`
@@ -29,14 +40,14 @@ blocks.  Together they replace hand-written index loops.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_INT = frozenset((int,))
 
 
 def rat(value) -> Fraction:
@@ -44,6 +55,8 @@ def rat(value) -> Fraction:
 
     Booleans are rejected, although `bool` is a subclass of `int`.
     """
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -55,6 +68,8 @@ def rat(value) -> Fraction:
 
 def rat_str(q: Fraction) -> str:
     """Serialize as 'p/q', or 'p' when the denominator is 1."""
+    if type(q) is int:
+        return str(q)
     if not isinstance(q, Fraction):
         q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -65,10 +80,32 @@ def clear_denominators(vectors: Iterable[Sequence[Fraction]]) -> list[list[int]]
     vectors with the same spans and ranks, row by row."""
     out = []
     for vec in vectors:
+        if _INT.issuperset(map(type, vec)):
+            out.append(list(vec))
+            continue
         ratios = [x.as_integer_ratio() for x in vec]
         den = lcm(*(d for _, d in ratios))
         out.append([n * (den // d) for n, d in ratios])
     return out
+
+
+def _entry(x):
+    """The stored form of a matrix entry: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"matrix entries are int or Fraction, not {type(x).__name__}: {x!r}")
+
+
+def _div(x, y):
+    """x / y exactly, for entries x and y != 0: an int when the quotient is
+    integral, else a Fraction (never the float that `int / int` gives)."""
+    if type(x) is int and type(y) is int:
+        q, rem = divmod(x, y)
+        if not rem:
+            return q
+    return _entry(Fraction(x, y))
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:
@@ -114,35 +151,42 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
 
 
 class RatMatrix:
-    """Immutable-by-convention dense matrix of Fractions."""
+    """Immutable-by-convention dense matrix of exact rationals.
+
+    Each entry is an `int` when integral and a `Fraction` otherwise; the
+    constructor copies the rows and normalizes them to that form.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, rows: Sequence[Sequence[Fraction]]):
         if nrows < 0 or ncols < 0:
             raise ValueError("negative matrix dimension")
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        if len(rows) != nrows or not {ncols}.issuperset(map(len, rows)):
             raise ValueError("row data does not match declared shape")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = [list(r) for r in rows]
+        if _INT.issuperset(map(type, chain.from_iterable(rows))):
+            self.rows = list(map(list, rows))
+        else:
+            self.rows = [[_entry(x) for x in r] for r in rows]
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "RatMatrix":
-        return RatMatrix(nrows, ncols, [[ZERO] * ncols for _ in range(nrows)])
+        return RatMatrix(nrows, ncols, [[0] * ncols for _ in range(nrows)])
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        m = RatMatrix.zeros(n, n)
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
-            m.rows[i][i] = ONE
-        return m
+            rows[i][i] = 1
+        return RatMatrix(n, n, rows)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":
-        rows = [[rat(x) for x in r] for r in rows]
+        rows = [[x if type(x) is int else rat(x) for x in r] for r in rows]
         ncols = len(rows[0]) if rows else 0
         return RatMatrix(len(rows), ncols, rows)
 
@@ -155,8 +199,8 @@ class RatMatrix:
         if not cols:
             return RatMatrix.zeros(0, 0)
         nrows = len(cols[0])
-        return RatMatrix(nrows, len(cols),
-                         [[rat(cols[j][i]) for j in range(len(cols))] for i in range(nrows)])
+        return RatMatrix(nrows, len(cols), [[x if type(x) is int else rat(x) for x in row]
+                                            for row in zip(*cols)])
 
     # -- basic accessors ----------------------------------------------
 
@@ -175,7 +219,7 @@ class RatMatrix:
         return [self.col(j) for j in range(self.ncols)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.shape == other.shape
@@ -204,7 +248,7 @@ class RatMatrix:
         return self.scale(-1)
 
     def scale(self, c) -> "RatMatrix":
-        c = rat(c)
+        c = _entry(rat(c))
         return RatMatrix(self.nrows, self.ncols,
                          [[c * x for x in r] for r in self.rows])
 
@@ -212,13 +256,11 @@ class RatMatrix:
         """Matrix product, skipping zero entries (pairing tensors are sparse)."""
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        out = [[ZERO] * other.ncols for _ in range(self.nrows)]
+        out = [[0] * other.ncols for _ in range(self.nrows)]
         nz = _nonzeros(other)
         for i, row in enumerate(self.rows):
             orow = out[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
+            for k, a in compress(enumerate(row), row):
                 for j, v in nz[k]:
                     orow[j] += a * v
         return RatMatrix(self.nrows, other.ncols, out)
@@ -226,12 +268,11 @@ class RatMatrix:
     def matvec(self, vec: Sequence[Fraction]) -> list[Fraction]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return [sum((a * v for a, v in zip(row, vec) if a != 0), ZERO) for row in self.rows]
+        return [sum(a * v for a, v in zip(row, vec) if a) for row in self.rows]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.ncols, self.nrows,
-                         [[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)])
+        cols = zip(*self.rows) if self.nrows else [()] * self.ncols
+        return RatMatrix(self.ncols, self.nrows, list(cols))
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.nrows != other.nrows:
@@ -260,7 +301,13 @@ class RatMatrix:
         return self.rank() >= target
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
-        """Reduced row echelon form over Fraction, with pivot column list."""
+        """Reduced row echelon form, with pivot column list.
+
+        A pivot of 1 leaves its row as it is and a pivot of -1 negates it;
+        any other pivot divides the row through `_div`, so integer rows stay
+        integral wherever the quotients are.  Elimination visits only the
+        nonzero entries of the pivot row (all at columns >= the pivot's).
+        """
         a = [list(r) for r in self.rows]
         m, n = self.nrows, self.ncols
         pivots: list[int] = []
@@ -270,12 +317,20 @@ class RatMatrix:
             if piv is None:
                 continue
             a[r], a[piv] = a[piv], a[r]
-            inv = ONE / a[r][c]
-            a[r] = [x * inv for x in a[r]]
+            row = a[r]
+            p = row[c]
+            if p == -1:
+                row = a[r] = [-x for x in row]
+            elif p != 1:
+                row = a[r] = [_div(x, p) if x else 0 for x in row]
+            tail = row[c:]
+            nz = list(compress(enumerate(tail, c), tail))
             for i in range(m):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                f = a[i][c]
+                if f and i != r:
+                    ai = a[i]
+                    for j, y in nz:
+                        ai[j] -= f * y
             pivots.append(c)
             r += 1
             if r == m:
@@ -290,8 +345,8 @@ class RatMatrix:
         for free in range(self.ncols):
             if free in pivset:
                 continue
-            vec = [ZERO] * self.ncols
-            vec[free] = ONE
+            vec = [0] * self.ncols
+            vec[free] = 1
             for r, pc in enumerate(pivots):
                 vec[pc] = -red.rows[r][free]
             basis.append(vec)
@@ -340,43 +395,36 @@ class RatMatrix:
 
     @staticmethod
     def from_json(data: Sequence[Sequence[str]]) -> "RatMatrix":
-        return RatMatrix.from_rows([[rat(x) for x in row] for row in data])
+        return RatMatrix.from_rows(data)
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Kronecker product; index (i,k) of A x B is i*b.nrows + k, same for columns."""
-    out = RatMatrix.zeros(a.nrows * b.nrows, a.ncols * b.ncols)
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            v = a.rows[i][j]
-            if v == 0:
-                continue
-            for k in range(b.nrows):
-                brow = b.rows[k]
-                orow = out.rows[i * b.nrows + k]
-                base = j * b.ncols
-                for l in range(b.ncols):
-                    if brow[l] != 0:
-                        orow[base + l] = v * brow[l]
-    return out
+    out = [[0] * (a.ncols * b.ncols) for _ in range(a.nrows * b.nrows)]
+    bnz = _nonzeros(b)
+    for i, arow in enumerate(a.rows):
+        for j, v in compress(enumerate(arow), arow):
+            base = j * b.ncols
+            for k, brow in enumerate(bnz):
+                orow = out[i * b.nrows + k]
+                for l, bv in brow:
+                    orow[base + l] = v * bv
+    return RatMatrix(a.nrows * b.nrows, a.ncols * b.ncols, out)
 
 
 def kron_identity_right(a: RatMatrix, n: int) -> RatMatrix:
     """A x I_n without building the identity."""
-    out = RatMatrix.zeros(a.nrows * n, a.ncols * n)
-    for i in range(a.nrows):
-        arow = a.rows[i]
-        for j in range(a.ncols):
-            if arow[j] != 0:
-                v = arow[j]
-                for k in range(n):
-                    out.rows[i * n + k][j * n + k] = v
-    return out
+    out = [[0] * (a.ncols * n) for _ in range(a.nrows * n)]
+    for i, arow in enumerate(a.rows):
+        for j, v in compress(enumerate(arow), arow):
+            for k in range(n):
+                out[i * n + k][j * n + k] = v
+    return RatMatrix(a.nrows * n, a.ncols * n, out)
 
 
 def _nonzeros(mat: RatMatrix) -> list[list[tuple[int, Fraction]]]:
     """Per row, the (column, value) pairs of the nonzero entries."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in mat.rows]
+    return [list(compress(enumerate(row), row)) for row in mat.rows]
 
 
 def mul_kron_identity(a: RatMatrix, x: RatMatrix, n: int) -> RatMatrix:
@@ -391,12 +439,11 @@ def mul_kron_identity(a: RatMatrix, x: RatMatrix, n: int) -> RatMatrix:
     ncols = x.ncols * n
     out = []
     for row in a.rows:
-        orow = [ZERO] * ncols
-        for idx, av in enumerate(row):
-            if av:
-                i, k = divmod(idx, n)
-                for j, v in xnz[i]:
-                    orow[j * n + k] += av * v
+        orow = [0] * ncols
+        for idx, av in compress(enumerate(row), row):
+            i, k = divmod(idx, n)
+            for j, v in xnz[i]:
+                orow[j * n + k] += av * v
         out.append(orow)
     return RatMatrix(a.nrows, ncols, out)
 
@@ -412,7 +459,7 @@ def kron_identity_mul(x: RatMatrix, n: int, b: RatMatrix) -> RatMatrix:
     out = []
     for xrow in _nonzeros(x):
         for k in range(n):
-            orow = [ZERO] * b.ncols
+            orow = [0] * b.ncols
             for j, v in xrow:
                 for c, bv in bnz[j * n + k]:
                     orow[c] += v * bv
@@ -432,13 +479,12 @@ def mul_identity_kron(a: RatMatrix, n: int, x: RatMatrix) -> RatMatrix:
     p, q = x.shape
     out = []
     for row in a.rows:
-        orow = [ZERO] * (n * q)
-        for idx, av in enumerate(row):
-            if av:
-                o, i = divmod(idx, p)
-                base = o * q
-                for j, v in xnz[i]:
-                    orow[base + j] += av * v
+        orow = [0] * (n * q)
+        for idx, av in compress(enumerate(row), row):
+            o, i = divmod(idx, p)
+            base = o * q
+            for j, v in xnz[i]:
+                orow[base + j] += av * v
         out.append(orow)
     return RatMatrix(a.nrows, n * q, out)
 
@@ -456,7 +502,7 @@ def identity_kron_mul(n: int, x: RatMatrix, b: RatMatrix) -> RatMatrix:
     out = []
     for o in range(n):
         for xrow in xnz:
-            orow = [ZERO] * b.ncols
+            orow = [0] * b.ncols
             for j, v in xrow:
                 for c, bv in bnz[o * q + j]:
                     orow[c] += v * bv
@@ -498,12 +544,11 @@ def permute(mat: RatMatrix, row_dims: Sequence[int], col_dims: Sequence[int],
 
     col_offsets = offsets(range(len(row_dims), len(dims)))
     nrows, ncols = prod(dims[a] for a in rows), prod(dims[a] for a in cols)
-    out = [[ZERO] * ncols for _ in range(nrows)]
+    out = [[0] * ncols for _ in range(nrows)]
     for (r0, c0), row in zip(offsets(range(len(row_dims))), mat.rows):
-        for j, v in enumerate(row):
-            if v:
-                r1, c1 = col_offsets[j]
-                out[r0 + r1][c0 + c1] = v
+        for j, v in compress(enumerate(row), row):
+            r1, c1 = col_offsets[j]
+            out[r0 + r1][c0 + c1] = v
     return RatMatrix(nrows, ncols, out)
 
 
@@ -514,7 +559,7 @@ def block_matrix(row_sizes: Sequence[int], col_sizes: Sequence[int],
     are zero."""
     row_off = list(accumulate(row_sizes, initial=0))
     col_off = list(accumulate(col_sizes, initial=0))
-    out = [[ZERO] * col_off[-1] for _ in range(row_off[-1])]
+    out = [[0] * col_off[-1] for _ in range(row_off[-1])]
     for (bi, bj), blk in blocks.items():
         if blk.shape != (row_sizes[bi], col_sizes[bj]):
             raise ValueError(f"block {(bi, bj)} is {blk.shape}, "

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from .exact import ZERO, ONE, rat, rat_str
 from .regions import (HalfPlane, arrangement_cells, count_arrangement_regions,
                       line_meets_open_convex, line_primitive)
-from .setting import CompositionSystem, SchemaError
+from .setting import CompositionSystem, SchemaError, check_schema
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class Polarization:
 
     @staticmethod
     def from_json(data: dict) -> "Polarization":
+        check_schema(data, "polarization")
         try:
             return Polarization(tuple(rat(x) for x in data["lambda"]),
                                 tuple(rat(x) for x in data["mu"]))

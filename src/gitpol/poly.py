@@ -80,7 +80,7 @@ def mult_map(n: int, a: int, b: int) -> RatMatrix:
     for ia, ma in enumerate(ba):
         for ib, mb in enumerate(bb):
             row = target_index[tuple(x + y for x, y in zip(ma, mb))]
-            out.rows[row][ia * len(bb) + ib] = ONE
+            out.rows[row][ia * len(bb) + ib] = 1
     return out
 
 
@@ -260,7 +260,7 @@ class Poly:
     @staticmethod
     def from_coeff_vector(nvars: int, degree: int, vec) -> "Poly":
         basis = monomial_basis(nvars, degree)
-        return Poly(nvars, {m: rat(c) for m, c in zip(basis, vec) if rat(c) != 0})
+        return Poly(nvars, {m: rat(c) for m, c in zip(basis, vec) if c})
 
     # -- strings -----------------------------------------------------------
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exact import (ONE, RatMatrix, identity_kron_mul, kron_identity_mul,
-                    mul_identity_kron, mul_kron_identity, permute, rat)
+from .exact import (RatMatrix, identity_kron_mul, kron_identity_mul, mul_identity_kron,
+                    mul_kron_identity, permute, rat)
 # kept importable from here: perfbench's tracer test rebinds this name
 from .exact import kron_identity_right  # noqa: F401
 from .poly import Poly, mult_map, sym_dim
@@ -87,6 +86,7 @@ class ProblemSpec:
 
     @staticmethod
     def from_json(data: dict) -> "ProblemSpec":
+        check_schema(data, "problem spec")
         try:
             left = tuple((_json_int(x["twist"]), _json_int(x["mult"])) for x in data["left"])
             right = tuple((_json_int(x["twist"]), _json_int(x["mult"])) for x in data["right"])
@@ -94,6 +94,13 @@ class ProblemSpec:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad problem spec: {exc}") from exc
         return ProblemSpec(ambient, left, right)
+
+
+def check_schema(data, what: str) -> None:
+    """Reject a JSON object whose "schema" version is not "1" (a missing
+    version is read as "1")."""
+    if isinstance(data, dict) and data.get("schema", "1") != "1":
+        raise SchemaError(f"{what}: unsupported schema version {data['schema']!r}")
 
 
 def _json_int(value) -> int:
@@ -356,7 +363,7 @@ class MorphismElement:
                 grid = blocks[l - 1][i - 1]
                 if len(grid) != system.n[l - 1] or any(len(row) != system.m[i - 1] for row in grid):
                     raise SchemaError(f"polynomial block ({l},{i}) has wrong shape")
-                mat = RatMatrix.zeros(system.n[l - 1] * hdim, system.m[i - 1])
+                rows = [[0] * system.m[i - 1] for _ in range(system.n[l - 1] * hdim)]
                 for t, row in enumerate(grid):
                     for p, entry in enumerate(row):
                         try:
@@ -370,8 +377,8 @@ class MorphismElement:
                                 f"entry ({t},{p}) of block ({l},{i}) is not homogeneous "
                                 f"of degree {deg}")
                         for k, c in enumerate(poly.coeff_vector(deg)):
-                            mat.rows[t * hdim + k][p] = c
-                out[(l, i)] = mat
+                            rows[t * hdim + k][p] = c
+                out[(l, i)] = RatMatrix(len(rows), system.m[i - 1], rows)
         return MorphismElement(system, out)
 
     def to_polynomials(self) -> list[list[list[list[str]]]]:
@@ -402,6 +409,7 @@ class MorphismElement:
 
     @staticmethod
     def from_json(system: CompositionSystem, data: dict) -> "MorphismElement":
+        check_schema(data, "morphism")
         try:
             return MorphismElement.from_polynomials(system, data["blocks"])
         except SchemaError:
@@ -418,7 +426,7 @@ def random_morphism(system: CompositionSystem, seed: int, bound: int = 3,
         blk = w.blocks[key]
         for i in range(blk.nrows):
             for j in range(blk.ncols):
-                blk.rows[i][j] = Fraction(rng.randint(-bound, bound))
+                blk.rows[i][j] = rng.randint(-bound, bound)
     return w
 
 
@@ -588,12 +596,12 @@ def random_unipotent(system: CompositionSystem, seed: int, bound: int,
         blk = g.u[key]
         for i in range(blk.nrows):
             for j in range(blk.ncols):
-                blk.rows[i][j] = Fraction(rng.randint(-bound, bound))
+                blk.rows[i][j] = rng.randint(-bound, bound)
     for key in sorted(g.v):
         blk = g.v[key]
         for i in range(blk.nrows):
             for j in range(blk.ncols):
-                blk.rows[i][j] = Fraction(rng.randint(-bound, bound))
+                blk.rows[i][j] = rng.randint(-bound, bound)
     return g
 
 

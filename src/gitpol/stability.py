@@ -79,7 +79,7 @@ def _block_support(w: MorphismElement, l: int, vecs: list[list[Fraction]]) -> li
             img = blk.matvec(v)
             for k in range(h):
                 col = [img[t * h + k] for t in range(nl)]
-                if any(x != 0 for x in col):
+                if any(col):
                     cols.append(col)
     return cols
 
@@ -250,7 +250,7 @@ def _subspace_pool(w: MorphismElement, i: int, rng: random.Random):
     if mi <= 4:
         for size in range(1, mi):
             for combo in itertools.combinations(range(mi), size):
-                cols = [[ONE if t == c else ZERO for t in range(mi)] for c in combo]
+                cols = [[1 if t == c else 0 for t in range(mi)] for c in combo]
                 emit(RatMatrix.from_columns(cols))
     for subset_size in range(1, sys.s + 1):
         for subset in itertools.combinations(range(1, sys.s + 1), subset_size):
@@ -339,12 +339,12 @@ def _v_action_matrix(sys: CompositionSystem, mm: int, l: int, i: int,
     n = w.n
     vrows, vcols = n[mm - 1] * sys.b(mm, l), n[l - 1]
     blk = w.block(mm, i)
-    out = {(rr, cc): [ZERO] * (vrows * vcols)
+    out = {(rr, cc): [0] * (vrows * vcols)
            for rr in range(blk.nrows) for cc in range(blk.ncols)}
     for a in range(vrows):
         for bcol in range(vcols):
             v = RatMatrix.zeros(vrows, vcols)
-            v.rows[a][bcol] = ONE
+            v.rows[a][bcol] = 1
             img = _star_v_phi(sys, mm, l, i, n, v, w.block(l, i))
             for rr in range(img.nrows):
                 for cc in range(img.ncols):
@@ -361,12 +361,12 @@ def _u_action_matrix(sys: CompositionSystem, l: int, j: int, i: int,
     m, n = w.mults
     urows, ucols = m[j - 1] * sys.a(j, i), m[i - 1]
     blk = w.block(l, i)
-    out = {(rr, cc): [ZERO] * (urows * ucols)
+    out = {(rr, cc): [0] * (urows * ucols)
            for rr in range(blk.nrows) for cc in range(blk.ncols)}
     for a in range(urows):
         for bcol in range(ucols):
             u = RatMatrix.zeros(urows, ucols)
-            u.rows[a][bcol] = ONE
+            u.rows[a][bcol] = 1
             img = _star_phi_u(sys, l, j, i, n, w.block(l, j), u)
             for rr in range(img.nrows):
                 for cc in range(img.ncols):
@@ -463,6 +463,8 @@ def _search_core(w: MorphismElement, lam, mu, budget: int, seed: int,
                                         gred_exact=True)
             if best == 0 and wall is None:
                 wall = (h, fam, best)
+            if used >= budget:
+                break
             continue
         pools = [_subspace_pool(moved, i, rng) for i in range(1, sys.r + 1)]
         for combo in itertools.product(*pools):
