@@ -15,8 +15,8 @@ from . import certifier, constants, embedding, finemoduli, polarization, stabili
 from .exact import rat, rat_str
 from .serialize import (dumps, load_json, region_svg, vertices_csv, walls_csv,
                         write_text)
-from .setting import (MorphismElement, ProblemSpec, SchemaError,
-                      build_line_bundle_system)
+from .setting import (MorphismElement, ProblemSpec, SchemaError, _json_int,
+                      build_line_bundle_system, check_schema)
 
 
 def _load_spec(path: str) -> ProblemSpec:
@@ -205,14 +205,17 @@ def cmd_embed(args) -> dict:
 def cmd_fine_moduli(args) -> dict:
     if args.datum:
         data = load_json(args.datum)
+        check_schema(data, "datum")
         try:
-            nvars = int(data["n"]) + 1
+            nvars = _json_int(data["n"]) + 1
             from .poly import Poly
 
             datum = finemoduli.PKDatum(
                 Poly.parse(data["z1"], nvars), Poly.parse(data["z2"], nvars),
                 tuple(Poly.parse(c, nvars) for c in data["cubics"]))
-        except (KeyError, TypeError) as exc:
+        except SchemaError:
+            raise
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad datum file: {exc}") from exc
         phi = finemoduli.build_phi_from_pk(datum)
         out = phi.to_json()

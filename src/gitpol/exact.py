@@ -6,22 +6,24 @@ stores a `Fraction` with denominator 1 as its numerator and rejects anything
 else (a float, a bool).  Nearly every entry is an integer (0/1 pairing
 tensors, integral morphisms and group elements), and zero tests and
 arithmetic on `int` run at C speed.  Entries are never divided with `/`,
-which gives a float on two ints; `rref` divides through `_div`.
+which gives a float on two ints.
 
 `rat` stays the scalar coercion and always returns a `Fraction`: weights,
 discriminants and polynomial coefficients are divided with `/` across the
 package, which is exact only on `Fraction`.
 
-Elimination uses deterministic first-nonzero pivoting, so ranks, kernels,
-column spaces and solved systems are reproducible bit for bit.  Nothing in
-this module (or the package) ever rounds.
-
-Two elimination cores remain.  `integer_rank` is fraction-free (Bareiss)
-elimination on integer rows: `RatMatrix.rank` (and so `rank_at_least`)
-clears denominators row by row (`clear_denominators`) and calls it, and
-`constants` ranks its integer matrices with it directly.  `RatMatrix.rref`
-is Gauss-Jordan elimination for kernels, column spaces and solves; it keeps
-integer rows integral wherever the pivot allows it.
+One elimination core, `_bareiss`, serves everything: fraction-free
+(Bareiss) forward elimination on integer rows, after `clear_denominators`
+scales each row to integers.  Its pivot in a row is the first nonzero entry
+(rows keep their original columns), so its pivot columns are those of the
+reduced row echelon form, and ranks, kernels, column spaces and solved
+systems are reproducible bit for bit.  `integer_rank` (behind
+`RatMatrix.rank`, `rank_at_least` and all of `constants`) counts its pivot
+rows; `column_space_basis` reads its pivot columns; `rref` back-substitutes
+over its rows without leaving the integers, and only the final
+normalization divides, through `_div`.  `kernel_basis`, `solve_right`,
+`inverse` and `in_column_span` read `rref` and `rank`.  Nothing in this
+module (or the package) ever rounds.
 
 Kronecker factors with an identity, X (x) I_n and I_n (x) X, are applied
 implicitly by `mul_kron_identity`, `kron_identity_mul`, `mul_identity_kron`
@@ -108,46 +110,61 @@ def _div(x, y):
     return _entry(Fraction(x, y))
 
 
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _bareiss(rows: Iterable[Sequence[int]]) -> list[tuple]:
+    """The one elimination core: fraction-free (Bareiss) forward elimination
+    on integer rows, returning the (column, pivot, row, nonzeros) of each
+    pivot row; the (index, value) nonzeros are kept for unit pivots only,
+    else they are None.
 
     Rows are reduced one at a time, in the order given, against the pivot
-    rows found so far: step k first swaps the pivot's column into place k,
-    then maps v to (p_k v - v[k] w_k) / p_{k-1}, where w_k is the k-th pivot
-    row and p_k its pivot (Bareiss, Math. Comp. 1968).  Every value is a
-    minor of the input, so each division is exact and nothing leaves the
-    integers.  The input is not modified.  Elimination stops once the rank
-    equals the row length, so `rows` may be a lazy iterable that is only
-    consumed that far.
+    rows found so far: step k maps v to (p_k v - v[c_k] w_k) / p_{k-1}, where
+    w_k is the k-th pivot row, c_k its column and p_k its pivot (Bareiss,
+    Math. Comp. 1968).  Rows keep their original coordinates (no column
+    swaps); a reduced row's pivot is its first nonzero entry, which lies
+    outside the earlier pivot columns, so the pivot columns found are those
+    of the reduced row echelon form.  A row whose pivot is negative is
+    negated, which is the same elimination on the input with that row
+    negated: every value is a minor of that input, so each division is exact
+    and nothing leaves the integers.  Where p_k = p_{k-1} = 1 the step only
+    touches the nonzeros of w_k.  The input is not modified.  Elimination
+    stops once the rank equals the row length, so `rows` may be a lazy
+    iterable that is only consumed that far.
     """
-    steps: list[tuple[int, int, list[int]]] = []   # (column, pivot, tail)
+    steps = []
     for row in rows:
         if not any(row):
             continue
         v = list(row)
         prev = 1
-        k = 0
-        for j, p, tail in steps:
-            if j != k:
-                v[k], v[j] = v[j], v[k]
-            f = v[k]
-            k += 1
-            # a row with f == 0 still needs rescaling unless p == prev
+        for c, p, w, nz in steps:
+            f = v[c]
             if f:
-                v[k:] = [(p * x - f * y) // prev for x, y in zip(v[k:], tail)]
+                if nz is not None and prev == 1:
+                    for j, y in nz:
+                        v[j] -= f * y
+                else:
+                    v = [(p * x - f * y) // prev for x, y in zip(v, w)]
             elif p != prev:
-                v[k:] = [p * x // prev for x in v[k:]]
+                v = [p * x // prev for x in v]
             prev = p
-        for j in range(k, len(v)):
-            if v[j]:
-                break
-        else:
+        c = next(compress(range(len(v)), v), None)
+        if c is None:
             continue
-        v[k], v[j] = v[j], v[k]
-        steps.append((j, v[k], v[k + 1:]))
-        if k + 1 == len(v):
+        p = v[c]
+        if p < 0:
+            v = [-x for x in v]
+            p = -p
+        steps.append((c, p, v, list(compress(enumerate(v), v)) if p == 1 else None))
+        if len(steps) == len(v):
             break
-    return len(steps)
+    return steps
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix: the number of pivot rows `_bareiss`
+    finds.  The input is not modified, and a lazy iterable of rows is only
+    consumed until the rank equals the row length."""
+    return len(_bareiss(rows))
 
 
 class RatMatrix:
@@ -303,39 +320,30 @@ class RatMatrix:
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form, with pivot column list.
 
-        A pivot of 1 leaves its row as it is and a pivot of -1 negates it;
-        any other pivot divides the row through `_div`, so integer rows stay
-        integral wherever the quotients are.  Elimination visits only the
-        nonzero entries of the pivot row (all at columns >= the pivot's).
+        Back-substitution over the rows of `_bareiss`, fraction-free: with d
+        the last pivot, d r_k = (d w_k - sum_{j>k} w_k[c_j] d r_j) / p_k is an
+        exact integer division for every reduced row r_k (d is, up to sign,
+        the determinant of the pivot minor).  Only the final normalization
+        divides by d, through `_div`.
         """
-        a = [list(r) for r in self.rows]
         m, n = self.nrows, self.ncols
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, m) if a[i][c]), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            row = a[r]
-            p = row[c]
-            if p == -1:
-                row = a[r] = [-x for x in row]
-            elif p != 1:
-                row = a[r] = [_div(x, p) if x else 0 for x in row]
-            tail = row[c:]
-            nz = list(compress(enumerate(tail, c), tail))
-            for i in range(m):
-                f = a[i][c]
-                if f and i != r:
-                    ai = a[i]
+        steps = _bareiss(clear_denominators(self.rows))
+        d = steps[-1][1] if steps else 1
+        done: list[tuple[int, list[int], list[tuple[int, int]]]] = []
+        for c, p, w, _ in reversed(steps):
+            x = [d * y for y in w] if d != 1 else list(w)
+            for cj, _, nz in done:
+                f = w[cj]
+                if f:
                     for j, y in nz:
-                        ai[j] -= f * y
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return RatMatrix(m, n, a), pivots
+                        x[j] -= f * y
+            if p != 1:
+                x = [y // p for y in x]
+            done.append((c, x, list(compress(enumerate(x), x))))
+        done.sort()
+        rows = [x if d == 1 else [_div(y, d) if y else 0 for y in x] for _, x, _ in done]
+        rows += ([0] * n for _ in range(m - len(rows)))
+        return RatMatrix(m, n, rows), [c for c, _, _ in done]
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column, in column order."""
@@ -354,7 +362,7 @@ class RatMatrix:
 
     def column_space_basis(self) -> "RatMatrix":
         """Original columns at the pivot positions (a deterministic basis)."""
-        _, pivots = self.rref()
+        pivots = sorted(c for c, *_ in _bareiss(clear_denominators(self.rows)))
         return self.submatrix(range(self.nrows), pivots)
 
     def solve_right(self, rhs: "RatMatrix") -> "RatMatrix | None":

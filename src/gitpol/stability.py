@@ -19,8 +19,8 @@ from .exact import ONE, ZERO, RatMatrix, stack_columns
 from .poly import Poly, poly_gcd_many
 from .polarization import Polarization, DimensionVector, weighted_discriminant
 from .setting import (CompositionSystem, GroupElement, MorphismElement,
-                      SchemaError, act, group_from_json, group_to_json,
-                      random_unipotent)
+                      SchemaError, _star_phi_u, _star_v_phi, act, group_from_json,
+                      group_to_json, random_unipotent)
 
 UNSTABLE = "UNSTABLE"
 NOT_STABLE = "NOT_STABLE"
@@ -284,95 +284,47 @@ def _elimination_moves(w: MorphismElement) -> list[GroupElement]:
     out: list[GroupElement] = []
     for l in range(1, sys.s + 1):
         for mm in range(l + 1, sys.s + 1):
-            vdim = n[mm - 1] * sys.b(mm, l) * n[l - 1]
-            if vdim == 0:
-                continue
-            rows, rhs = [], []
-            for i in range(1, sys.r + 1):
-                blk_m = w.block(mm, i)
-                coeff = _v_action_matrix(sys, mm, l, i, w)
-                for rr in range(blk_m.nrows):
-                    for cc in range(blk_m.ncols):
-                        rows.append([coeff[(rr, cc)][t] for t in range(vdim)])
-                        rhs.append([-blk_m.rows[rr][cc]])
-            system_mat = RatMatrix.from_rows(rows) if rows else RatMatrix.zeros(0, vdim)
-            sol = system_mat.solve_right(RatMatrix.from_rows(rhs)) if rows else None
-            if sol is not None:
-                g = GroupElement.identity(sys, w.mults)
-                vmat = RatMatrix.zeros(n[mm - 1] * sys.b(mm, l), n[l - 1])
-                for t in range(vdim):
-                    a, bmat = divmod(t, n[l - 1])
-                    vmat.rows[a][bmat] = sol.rows[t][0]
-                g.v[(mm, l)] = vmat
-                out.append(g)
+            out += _elimination_move(
+                w, "v", (mm, l), (n[mm - 1] * sys.b(mm, l), n[l - 1]),
+                [(w.block(mm, i), lambda v, i=i: _star_v_phi(sys, mm, l, i, n, v, w.block(l, i)))
+                 for i in range(1, sys.r + 1)])
     for i in range(1, sys.r + 1):
         for j in range(i + 1, sys.r + 1):
-            udim = m[j - 1] * sys.a(j, i) * m[i - 1]
-            if udim == 0:
-                continue
-            rows, rhs = [], []
-            for l in range(1, sys.s + 1):
-                blk_i = w.block(l, i)
-                coeff = _u_action_matrix(sys, l, j, i, w)
-                for rr in range(blk_i.nrows):
-                    for cc in range(blk_i.ncols):
-                        rows.append([coeff[(rr, cc)][t] for t in range(udim)])
-                        rhs.append([-blk_i.rows[rr][cc]])
-            system_mat = RatMatrix.from_rows(rows) if rows else RatMatrix.zeros(0, udim)
-            sol = system_mat.solve_right(RatMatrix.from_rows(rhs)) if rows else None
-            if sol is not None:
-                g = GroupElement.identity(sys, w.mults)
-                umat = RatMatrix.zeros(m[j - 1] * sys.a(j, i), m[i - 1])
-                for t in range(udim):
-                    a, bmat = divmod(t, m[i - 1])
-                    umat.rows[a][bmat] = sol.rows[t][0]
-                g.u[(j, i)] = umat
-                out.append(g)
+            out += _elimination_move(
+                w, "u", (j, i), (m[j - 1] * sys.a(j, i), m[i - 1]),
+                [(w.block(l, i), lambda u, l=l: _star_phi_u(sys, l, j, i, n, w.block(l, j), u))
+                 for l in range(1, sys.s + 1)])
     return out
 
 
-def _v_action_matrix(sys: CompositionSystem, mm: int, l: int, i: int,
-                     w: MorphismElement) -> dict:
-    """Linear coefficients of (v_ml * phi_li)[rr, cc] in the entries of v_ml."""
-    from .setting import _star_v_phi
+def _elimination_move(w: MorphismElement, side: str, key: tuple[int, int],
+                      shape: tuple[int, int], terms) -> list[GroupElement]:
+    """[h] for the unipotent h whose one off-diagonal block is `side`[`key`]
+    (side "u" or "v"), the x of `shape` with blk + image(x) = 0 for every
+    (blk, image) in `terms`; [] when there is no such x.
 
-    n = w.n
-    vrows, vcols = n[mm - 1] * sys.b(mm, l), n[l - 1]
-    blk = w.block(mm, i)
-    out = {(rr, cc): [0] * (vrows * vcols)
-           for rr in range(blk.nrows) for cc in range(blk.ncols)}
-    for a in range(vrows):
-        for bcol in range(vcols):
-            v = RatMatrix.zeros(vrows, vcols)
-            v.rows[a][bcol] = 1
-            img = _star_v_phi(sys, mm, l, i, n, v, w.block(l, i))
-            for rr in range(img.nrows):
-                for cc in range(img.ncols):
-                    if img.rows[rr][cc] != 0:
-                        out[(rr, cc)][a * vcols + bcol] = img.rows[rr][cc]
-    return out
-
-
-def _u_action_matrix(sys: CompositionSystem, l: int, j: int, i: int,
-                     w: MorphismElement) -> dict:
-    """Linear coefficients of (phi_lj * u_ji)[rr, cc] in the entries of u_ji."""
-    from .setting import _star_phi_u
-
-    m, n = w.mults
-    urows, ucols = m[j - 1] * sys.a(j, i), m[i - 1]
-    blk = w.block(l, i)
-    out = {(rr, cc): [0] * (urows * ucols)
-           for rr in range(blk.nrows) for cc in range(blk.ncols)}
-    for a in range(urows):
-        for bcol in range(ucols):
-            u = RatMatrix.zeros(urows, ucols)
-            u.rows[a][bcol] = 1
-            img = _star_phi_u(sys, l, j, i, n, w.block(l, j), u)
-            for rr in range(img.nrows):
-                for cc in range(img.ncols):
-                    if img.rows[rr][cc] != 0:
-                        out[(rr, cc)][a * ucols + bcol] = img.rows[rr][cc]
-    return out
+    One exact linear system in the entries of x: column t of an image's
+    coefficient matrix is image(e_t) read row by row, for the t-th unit
+    matrix e_t of `shape`.
+    """
+    xrows, xcols = shape
+    rows, rhs = [], []
+    for blk, image in terms:
+        units = []
+        for t in range(xrows * xcols):
+            e = RatMatrix.zeros(xrows, xcols)
+            e.rows[t // xcols][t % xcols] = 1
+            units.append(list(itertools.chain.from_iterable(image(e).rows)))
+        rows += zip(*units)
+        rhs += ([-x] for x in itertools.chain.from_iterable(blk.rows))
+    sol = RatMatrix.from_rows(rows).solve_right(RatMatrix.from_rows(rhs)) if rows else None
+    if sol is None:
+        return []
+    x = [r[0] for r in sol.rows]
+    g = GroupElement.identity(w.system, w.mults)
+    getattr(g, side)[key] = RatMatrix(xrows, xcols, [x[a * xcols:(a + 1) * xcols]
+                                                     for a in range(xrows)])
+    return [g]
 
 
 # ----------------------------------------------------------------------

@@ -86,3 +86,28 @@ def test_python_dash_m_runs_the_cli(files):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["expected_dimension"] == 26
+
+
+DATUM = {"schema": "1", "n": 2, "z1": "x0", "z2": "x1",
+         "cubics": ["x0^3", "x0x1^2", "x0x2^2", "x1^3", "x1x2^2", "x1x0^2", "x1x0x2"]}
+
+
+@pytest.mark.parametrize("change", [
+    {"z1": "x0+("},                 # bad polynomial syntax
+    {"z1": "x9"},                   # variable out of range for n = 2
+    {"cubics": ["x0^3/0"]},         # division by zero
+    {"schema": "99"},
+    {"n": 2.5},                     # not truncated to 2
+    {"n": True},
+    {"n": "two"},
+])
+def test_bad_fine_moduli_datum_is_an_input_error(change, tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(dict(DATUM, **change)))
+    _assert_input_error(["fine-moduli", "--datum", str(path)], capsys)
+
+
+def test_fine_moduli_datum_reads_a_string_n(tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(dict(DATUM, n="2")))
+    assert main(["fine-moduli", "--datum", str(path), "--out", str(tmp_path / "o.json")]) == 0
