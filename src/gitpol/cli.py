@@ -89,6 +89,8 @@ def cmd_certify(args) -> dict:
 
 def cmd_constants(args) -> dict:
     spec = _load_spec(args.spec)
+    if args.trials < 0:
+        raise SchemaError(f"--trials must be non-negative, not {args.trials}")
     sys_ = build_line_bundle_system(spec)
     out = {"schema": "1", "left": [], "right": []}
     for l in range(1, sys_.s + 1):

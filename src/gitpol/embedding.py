@@ -422,37 +422,24 @@ def _iota_ha_mixed(sys: CompositionSystem, big: BigSetting, l: int,
 # ----------------------------------------------------------------------
 
 
+def _chain_links(bw: BigElement) -> list[tuple[RatMatrix, int]]:
+    """The chain maps P_r -> ... -> P_1 -> Q_s -> ... -> Q_1 in order, each as
+    (map, d): it sends a basis B of its source to map @ (B (x) I_d)."""
+    sys = bw.setting.system
+    return ([(bw.x[i], sys.a(i, i - 1)) for i in range(sys.r, 1, -1)]
+            + [(bw.gamma, sys.h(sys.s, 1))]
+            + [(bw.y[l], sys.b(l + 1, l)) for l in range(sys.s - 1, 0, -1)])
+
+
 def _chain_saturate(bw: BigElement, seeds_p: list[RatMatrix],
                     seeds_q: list[RatMatrix]) -> tuple[list[RatMatrix], list[RatMatrix]]:
     """Minimal downstream-invariant family containing the seeds."""
-    big = bw.setting
-    sys = big.system
-    p_bases = [seeds_p[i] for i in range(sys.r)]
-    for i in range(sys.r, 1, -1):
-        basis = p_bases[i - 1]
-        img_cols = []
-        if basis.ncols:
-            prod = mul_kron_identity(bw.x[i], basis, sys.a(i, i - 1))
-            img_cols = prod.columns()
-        combined = p_bases[i - 2].hstack(stack_columns(img_cols, big.p[i - 2]))
-        p_bases[i - 2] = combined.column_space_basis()
-    q_bases = [seeds_q[l] for l in range(sys.s)]
-    top = q_bases[sys.s - 1]
-    extra = []
-    if p_bases[0].ncols:
-        prod = mul_kron_identity(bw.gamma, p_bases[0], sys.h(sys.s, 1))
-        extra = prod.columns()
-    q_bases[sys.s - 1] = top.hstack(stack_columns(extra, big.q[sys.s - 1])) \
-        .column_space_basis()
-    for l in range(sys.s - 1, 0, -1):
-        basis = q_bases[l]
-        img_cols = []
-        if basis.ncols:
-            prod = mul_kron_identity(bw.y[l], basis, sys.b(l + 1, l))
-            img_cols = prod.columns()
-        combined = q_bases[l - 1].hstack(stack_columns(img_cols, big.q[l - 1]))
-        q_bases[l - 1] = combined.column_space_basis()
-    return p_bases, q_bases
+    r = bw.setting.system.r
+    bases = seeds_p[::-1] + seeds_q[::-1]
+    for k, (link, d) in enumerate(_chain_links(bw)):
+        bases[k + 1] = bases[k + 1].hstack(mul_kron_identity(link, bases[k], d)) \
+            .column_space_basis()
+    return bases[r - 1::-1], bases[:r - 1:-1]
 
 
 def big_destabilizer_search(bw: BigElement, assoc: AssociatedPolarization,
@@ -533,28 +520,12 @@ def big_destabilizer_search(bw: BigElement, assoc: AssociatedPolarization,
 
 def chain_invariant(bw: BigElement, fam: SubspaceFamily) -> bool:
     """Does the family absorb all three kinds of chain maps?"""
-    big = bw.setting
-    sys = big.system
-    for i in range(2, sys.r + 1):
-        basis = fam.mprime[i - 1]
-        target = fam.mprime[i - 2]
-        if basis.ncols:
-            img = mul_kron_identity(bw.x[i], basis, sys.a(i, i - 1))
-            if not img.is_zero() and (target.ncols == 0
-                                      or not target.in_column_span(img)):
-                return False
-    if fam.mprime[0].ncols:
-        img = mul_kron_identity(bw.gamma, fam.mprime[0], sys.h(sys.s, 1))
-        target = fam.nprime[sys.s - 1]
-        if not img.is_zero() and (target.ncols == 0 or not target.in_column_span(img)):
-            return False
-    for l in range(1, sys.s):
-        basis = fam.nprime[l]
-        target = fam.nprime[l - 1]
-        if basis.ncols:
-            img = mul_kron_identity(bw.y[l], basis, sys.b(l + 1, l))
-            if not img.is_zero() and (target.ncols == 0
-                                      or not target.in_column_span(img)):
+    spaces = fam.mprime[::-1] + fam.nprime[::-1]
+    for k, (link, d) in enumerate(_chain_links(bw)):
+        if spaces[k].ncols:
+            img = mul_kron_identity(link, spaces[k], d)
+            target = spaces[k + 1]
+            if not img.is_zero() and (target.ncols == 0 or not target.in_column_span(img)):
                 return False
     return True
 

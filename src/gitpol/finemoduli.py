@@ -9,7 +9,7 @@ from fractions import Fraction
 from .exact import ONE, ZERO, RatMatrix
 from .poly import Poly, monomial_basis, poly_gcd_many, sym_dim
 from .setting import (CompositionSystem, MorphismElement, ProblemSpec,
-                      SchemaError, build_line_bundle_system)
+                      SchemaError, block_polys, build_line_bundle_system)
 
 GENERIC = "generic"
 SPECIAL = "special"
@@ -165,73 +165,30 @@ def injectivity_codim2_check(datum: PKDatum) -> bool:
 def f_prime_injective(phi: MorphismElement) -> bool:
     """For a generic morphism: the induced map to cubics through the plane has
     full rank k (failure means no polarization makes the morphism semi-stable)."""
-    spec = _check_shape(phi)
     if classify(phi) != GENERIC:
         raise SchemaError("this check applies to generic morphisms")
-    nv = spec.ambient_dim + 1
-    a1 = Poly.from_coeff_vector(nv, 1, phi.block(1, 1).col(0))
-    a2 = Poly.from_coeff_vector(nv, 1, phi.block(1, 1).col(1))
-    k = phi.n[1]
-    h2 = phi.system.h(2, 1)
-    cubics = []
-    for i in range(k):
-        col1 = Poly.from_coeff_vector(nv, 2,
-                                      [phi.block(2, 1).rows[i * h2 + t][0] for t in range(h2)])
-        col2 = Poly.from_coeff_vector(nv, 2,
-                                      [phi.block(2, 1).rows[i * h2 + t][1] for t in range(h2)])
-        cubics.append(-a2 * col1 + a1 * col2)
-    mat = RatMatrix.from_columns([c.coeff_vector(3) if not c.is_zero()
-                                  else [ZERO] * sym_dim(spec.ambient_dim, 3)
-                                  for c in cubics])
-    return mat.rank() == k
+    cubics = induced_cubics(phi)
+    return RatMatrix.from_columns([c.coeff_vector(3) for c in cubics]).rank() == len(cubics)
 
 
 def induced_cubics(phi: MorphismElement) -> list[Poly]:
     """The image cubics of the induced map (generic morphisms)."""
-    spec = _check_shape(phi)
-    nv = spec.ambient_dim + 1
-    a1 = Poly.from_coeff_vector(nv, 1, phi.block(1, 1).col(0))
-    a2 = Poly.from_coeff_vector(nv, 1, phi.block(1, 1).col(1))
-    h2 = phi.system.h(2, 1)
-    out = []
-    for i in range(phi.n[1]):
-        col1 = Poly.from_coeff_vector(nv, 2,
-                                      [phi.block(2, 1).rows[i * h2 + t][0] for t in range(h2)])
-        col2 = Poly.from_coeff_vector(nv, 2,
-                                      [phi.block(2, 1).rows[i * h2 + t][1] for t in range(h2)])
-        out.append(-a2 * col1 + a1 * col2)
-    return out
+    nv = _check_shape(phi).ambient_dim + 1
+    a1, a2 = block_polys(phi.block(1, 1), nv, 1)[0]
+    return [-a2 * q1 + a1 * q2 for q1, q2 in block_polys(phi.block(2, 1), nv, 2)]
 
 
 def special_fbar2_injective(phi: MorphismElement) -> bool:
     """For a special morphism: the two quadric columns stay independent after
     restriction to the hyperplane cut out by the rank-one linear block."""
-    spec = _check_shape(phi)
+    nv = _check_shape(phi).ambient_dim + 1
     if classify(phi) != SPECIAL:
         raise SchemaError("this check applies to special morphisms")
-    nv = spec.ambient_dim + 1
-    cols = [phi.block(1, 1).col(0), phi.block(1, 1).col(1)]
-    hform = None
-    for col in cols:
-        p = Poly.from_coeff_vector(nv, 1, col)
-        if not p.is_zero():
-            hform = p
-            break
-    h2 = phi.system.h(2, 1)
-    reduced_cols = []
-    for cidx in range(2):
-        entries = []
-        for i in range(phi.n[1]):
-            q = Poly.from_coeff_vector(
-                nv, 2, [phi.block(2, 1).rows[i * h2 + t][cidx] for t in range(h2)])
-            entries.append(q.divmod_single(hform)[1])
-        reduced_cols.append(entries)
-    monos = sorted({m for col in reduced_cols for q in col for m in q.terms})
-    rows = []
-    for i in range(phi.n[1]):
-        for m in monos:
-            rows.append([reduced_cols[0][i].terms.get(m, ZERO),
-                         reduced_cols[1][i].terms.get(m, ZERO)])
+    hform = next(p for p in block_polys(phi.block(1, 1), nv, 1)[0] if not p.is_zero())
+    reduced = [[q.divmod_single(hform)[1] for q in row]
+               for row in block_polys(phi.block(2, 1), nv, 2)]
+    monos = sorted({m for row in reduced for q in row for m in q.terms})
+    rows = [[q.terms.get(m, ZERO) for q in row] for row in reduced for m in monos]
     if not rows:
         return False
     return RatMatrix.from_rows(rows).rank() == 2

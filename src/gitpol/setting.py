@@ -10,7 +10,9 @@ Index conventions (used throughout the package):
   * a tensor factor X (x) Y is indexed (x, y) -> x * dim(Y) + y;
   * a block phi_{l,i} : M_i -> N_l (x) H_li is an (n_l * h_li) x m_i matrix,
     rows indexed (t in N_l, k in H_li);
-  * a block u_{j,i} : M_i -> M_j (x) A_ji is an (m_j * a_ji) x m_i matrix.
+  * a block u_{j,i} : M_i -> M_j (x) A_ji is an (m_j * a_ji) x m_i matrix;
+  * `block_polys` and `block_from_polys` are the one reader and writer of
+    that block layout as a grid of polynomial entries.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .exact import (RatMatrix, identity_kron_mul, kron_identity_mul, mul_identity_kron,
                     mul_kron_identity, permute, rat)
 # kept importable from here: perfbench's tracer test rebinds this name
 from .exact import kron_identity_right  # noqa: F401
-from .poly import Poly, mult_map, sym_dim
+from .poly import Poly, monomial_basis, mult_map, sym_dim
 
 
 class SchemaError(ValueError):
@@ -291,6 +294,29 @@ def build_line_bundle_system(spec: ProblemSpec) -> CompositionSystem:
 # ----------------------------------------------------------------------
 
 
+def block_polys(block: RatMatrix, nvars: int, degree: int) -> list[list[Poly]]:
+    """The entries of a block, as a grid of forms of the given degree in
+    `nvars` variables.
+
+    This and `block_from_polys` own the block layout: row (t, k) of a block
+    holds coefficient k of entry (t, p), over the degree-`degree` monomial
+    basis.  So the rows (t, .) form a slab whose column p is the coefficient
+    vector of entry (t, p).
+    """
+    inner = len(monomial_basis(nvars, degree))
+    slabs = iter(block.rows)
+    return [[Poly.from_coeff_vector(nvars, degree, vec) for vec in zip(*islice(slabs, inner))]
+            for _ in range(block.nrows // inner)]
+
+
+def block_from_polys(grid: list[list[Poly]], degree: int) -> RatMatrix:
+    """The block whose entry (t, p) is the form grid[t][p] of the given degree
+    (or zero), for a nonempty grid: the inverse of `block_polys`."""
+    rows = [list(coeffs) for row in grid
+            for coeffs in zip(*(poly.coeff_vector(degree) for poly in row))]
+    return RatMatrix(len(rows), len(grid[0]), rows)
+
+
 @dataclass
 class MorphismElement:
     """Block matrix w = (phi_li); may carry its own multiplicities (quotients)."""
@@ -359,12 +385,12 @@ class MorphismElement:
         for l in range(1, system.s + 1):
             for i in range(1, system.r + 1):
                 deg = spec.f[l - 1] - spec.e[i - 1]
-                hdim = system.h(l, i)
                 grid = blocks[l - 1][i - 1]
                 if len(grid) != system.n[l - 1] or any(len(row) != system.m[i - 1] for row in grid):
                     raise SchemaError(f"polynomial block ({l},{i}) has wrong shape")
-                rows = [[0] * system.m[i - 1] for _ in range(system.n[l - 1] * hdim)]
+                polys = []
                 for t, row in enumerate(grid):
+                    polys.append([])
                     for p, entry in enumerate(row):
                         try:
                             poly = entry if isinstance(entry, Poly) \
@@ -376,9 +402,8 @@ class MorphismElement:
                             raise SchemaError(
                                 f"entry ({t},{p}) of block ({l},{i}) is not homogeneous "
                                 f"of degree {deg}")
-                        for k, c in enumerate(poly.coeff_vector(deg)):
-                            rows[t * hdim + k][p] = c
-                out[(l, i)] = RatMatrix(len(rows), system.m[i - 1], rows)
+                        polys[-1].append(poly)
+                out[(l, i)] = block_from_polys(polys, deg)
         return MorphismElement(system, out)
 
     def to_polynomials(self) -> list[list[list[list[str]]]]:
@@ -386,23 +411,10 @@ class MorphismElement:
         if spec is None:
             raise SchemaError("polynomial output requires a line-bundle system")
         nv = spec.ambient_dim + 1
-        out = []
-        for l in range(1, self.system.s + 1):
-            row_blocks = []
-            for i in range(1, self.system.r + 1):
-                deg = spec.f[l - 1] - spec.e[i - 1]
-                hdim = self.system.h(l, i)
-                blk = self.block(l, i)
-                grid = []
-                for t in range(self.n[l - 1]):
-                    row = []
-                    for p in range(self.m[i - 1]):
-                        vec = [blk.rows[t * hdim + k][p] for k in range(hdim)]
-                        row.append(str(Poly.from_coeff_vector(nv, deg, vec)))
-                    grid.append(row)
-                row_blocks.append(grid)
-            out.append(row_blocks)
-        return out
+        return [[[[str(poly) for poly in row]
+                  for row in block_polys(self.block(l, i), nv, spec.f[l - 1] - spec.e[i - 1])]
+                 for i in range(1, self.system.r + 1)]
+                for l in range(1, self.system.s + 1)]
 
     def to_json(self) -> dict:
         return {"schema": "1", "blocks": self.to_polynomials()}

@@ -15,12 +15,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ONE, ZERO, RatMatrix, stack_columns
+from .exact import ONE, ZERO, RatMatrix, kron_identity_mul, permute, stack_columns
 from .poly import Poly, poly_gcd_many
 from .polarization import Polarization, DimensionVector, weighted_discriminant
 from .setting import (CompositionSystem, GroupElement, MorphismElement,
-                      SchemaError, _star_phi_u, _star_v_phi, act, group_from_json,
-                      group_to_json, random_unipotent)
+                      SchemaError, _star_phi_u, _star_v_phi, act, block_polys,
+                      group_from_json, group_to_json, random_unipotent)
 
 UNSTABLE = "UNSTABLE"
 NOT_STABLE = "NOT_STABLE"
@@ -68,7 +68,12 @@ def family_from_flags(w: MorphismElement, left_flags, right_flags) -> SubspaceFa
 
 
 def _block_support(w: MorphismElement, l: int, vecs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Columns spanning the N_l-support of phi_li applied to the given vectors."""
+    """Columns spanning the N_l-support of phi_li applied to the given vectors.
+
+    It reads the block layout by hand rather than through `block_polys`: it
+    runs on every candidate of a search, where a reindexing per call costs
+    more than this loop.
+    """
     sys = w.system
     nl = w.n[l - 1]
     cols = []
@@ -118,25 +123,16 @@ def saturate_up(w: MorphismElement, mprime: tuple[RatMatrix, ...]) -> SubspaceFa
 def saturate_down(w: MorphismElement, nprime: tuple[RatMatrix, ...]) -> SubspaceFamily:
     """Maximal invariant family with the given right subspaces."""
     sys = w.system
+    # rows of ann_l annihilate N'_l; (ann_l (x) I_h) phi_li applies them to
+    # every hom coordinate
+    kernels = [basis.transpose().kernel_basis() for basis in nprime]
+    anns = [RatMatrix(len(kern), nl, kern) for nl, kern in zip(w.n, kernels)]
     mprime = []
     for i in range(1, sys.r + 1):
         mi = w.m[i - 1]
-        stacked = RatMatrix.zeros(0, mi)
-        for l in range(1, sys.s + 1):
-            nl = w.n[l - 1]
-            h = sys.h(l, i)
-            ann = stack_columns(nprime[l - 1].transpose().kernel_basis(), nl) \
-                if nprime[l - 1].ncols else RatMatrix.identity(nl)
-            # rows of ann^T annihilate N'_l; apply to every hom coordinate
-            annT = ann.transpose()
-            blk = w.block(l, i)
-            for arow in annT.rows:
-                for k in range(h):
-                    row = [sum(arow[t] * blk.rows[t * h + k][c] for t in range(nl))
-                           for c in range(mi)]
-                    stacked = stacked.vstack(RatMatrix(1, mi, [row]))
-        kern = stacked.kernel_basis()
-        mprime.append(stack_columns(kern, mi))
+        rows = [row for l in range(1, sys.s + 1)
+                for row in kron_identity_mul(anns[l - 1], sys.h(l, i), w.block(l, i)).rows]
+        mprime.append(stack_columns(RatMatrix(len(rows), mi, rows).kernel_basis(), mi))
     return SubspaceFamily(tuple(mprime), tuple(nprime))
 
 
@@ -182,30 +178,19 @@ class StabilityVerdict:
 
 def _unipotent_polynomials(g: GroupElement) -> dict:
     """Readable form of the off-diagonal blocks as polynomial-string grids."""
-    sys = g.system
-    spec = sys.spec
+    spec = g.system.spec
     nv = spec.ambient_dim + 1
-    m, n = g.mults
 
-    def render(block: RatMatrix, rows: int, cols: int, inner: int, degree: int):
-        grid = []
-        for p in range(rows):
-            row = []
-            for qcol in range(cols):
-                coeffs = [block.rows[p * inner + c][qcol] for c in range(inner)]
-                row.append(str(Poly.from_coeff_vector(nv, degree, coeffs)))
-            grid.append(row)
-        return grid
+    def render(block: RatMatrix, degree: int):
+        return [[str(poly) for poly in row] for row in block_polys(block, nv, degree)]
 
     out = {"u": {}, "v": {}}
     for (j, i), block in sorted(g.u.items()):
         if not block.is_zero():
-            out["u"][f"{j},{i}"] = render(block, m[j - 1], m[i - 1], sys.a(j, i),
-                                          spec.e[j - 1] - spec.e[i - 1])
+            out["u"][f"{j},{i}"] = render(block, spec.e[j - 1] - spec.e[i - 1])
     for (k, l), block in sorted(g.v.items()):
         if not block.is_zero():
-            out["v"][f"{k},{l}"] = render(block, n[k - 1], n[l - 1], sys.b(k, l),
-                                          spec.f[k - 1] - spec.f[l - 1])
+            out["v"][f"{k},{l}"] = render(block, spec.f[k - 1] - spec.f[l - 1])
     return out
 
 
@@ -809,28 +794,17 @@ def graded_piece(w: MorphismElement, lower: SubspaceFamily,
     new_n = tuple(c.ncols for c in comps_n)
     blocks = {}
     for l in range(1, sys.s + 1):
-        nl = w.n[l - 1]
-        basis = lower.nprime[l - 1].hstack(comps_n[l - 1]) \
-            if lower.nprime[l - 1].ncols else comps_n[l - 1]
+        nl, low = w.n[l - 1], lower.nprime[l - 1].ncols
+        # lower + complement has full column rank: the coordinates are unique
+        basis = lower.nprime[l - 1].hstack(comps_n[l - 1])
         for i in range(1, sys.r + 1):
-            hli = sys.h(l, i)
-            blk = w.block(l, i)
-            out = RatMatrix.zeros(new_n[l - 1] * hli, new_m[i - 1])
-            for cidx in range(new_m[i - 1]):
-                img = blk.matvec(comps_m[i - 1].col(cidx))
-                for k in range(hli):
-                    col = [img[t * hli + k] for t in range(nl)]
-                    if basis.ncols == 0:
-                        if any(x != 0 for x in col):
-                            raise SchemaError("filtration level is not invariant")
-                        continue
-                    sol = basis.solve_right(RatMatrix.column(col))
-                    if sol is None:
-                        raise SchemaError("filtration level is not invariant")
-                    for t2 in range(new_n[l - 1]):
-                        out.rows[t2 * hli + k][cidx] = \
-                            sol.rows[lower.nprime[l - 1].ncols + t2][0]
-            blocks[(l, i)] = out
+            hli, mi = sys.h(l, i), new_m[i - 1]
+            img = permute(w.block(l, i) * comps_m[i - 1], (nl, hli), (mi,), (0,), (1, 2))
+            sol = basis.solve_right(img)
+            if sol is None:
+                raise SchemaError("filtration level is not invariant")
+            coords = sol.submatrix(range(low, basis.ncols), range(sol.ncols))
+            blocks[(l, i)] = permute(coords, (new_n[l - 1],), (hli, mi), (0, 1), (2,))
     return MorphismElement(sys, blocks, (new_m, new_n))
 
 

@@ -80,6 +80,18 @@ def test_exhaustive_search_honours_the_budget():
                 assert not verdict.budget_exhausted
 
 
+SPEC_SAMPLED = {"schema": "1", "ambient_dim": 2,
+                "left": [{"twist": -3, "mult": 1}, {"twist": -1, "mult": 2}],
+                "right": [{"twist": 0, "mult": 2}]}
+
+
+@pytest.mark.parametrize("spec", [SPEC_21P2, SPEC_SAMPLED], ids=["closed-form", "sampled"])
+def test_negative_trial_count_is_an_input_error(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(["constants", "--spec", str(path), "--trials", "-5"], capsys)
+
+
 def test_python_dash_m_runs_the_cli(files):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-m", "gitpol", "dim", "--spec", files["spec"]],

@@ -1,4 +1,5 @@
-"""Each demo runs to completion as a script."""
+"""Each demo runs to completion as a script and prints exactly its recorded
+output, tests/demo_outputs/<stem>.txt (the demos are deterministic)."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUTS = Path(__file__).resolve().parent / "demo_outputs"
 
 
 def test_all_six_demos_are_found():
@@ -22,3 +24,4 @@ def test_demo_runs_without_error(demo):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout == (OUTPUTS / f"{demo.stem}.txt").read_text()

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from gitpol.embedding import (BigElement, big_act, big_destabilizer_search,
                               build_big, gamma_injectivity_check, saturated_family,
                               theta, z_membership, zeta)
-from gitpol.exact import RatMatrix, kron_identity_right
+from gitpol.exact import RatMatrix, kron_identity_right, stack_columns
 from gitpol.polarization import Polarization, associated, saturated_dims
 from gitpol.setting import (GroupElement, MorphismElement, ProblemSpec,
                             act, build_line_bundle_system, compose_group,
@@ -302,3 +303,41 @@ def test_gamma_injectivity_check_equals_unit_vector_rank():
 def test_z_membership_with_one_summand_per_side():
     big = build_big(SYS_TINY)
     assert z_membership(zeta(big, random_morphism(SYS_TINY, 5, 2))).status == "in_Z"
+
+
+@pytest.mark.parametrize("sysm", [
+    SYS_31P3,                                                           # two x-links
+    SYS_22P3,                                                           # a y-link
+    build_line_bundle_system(ProblemSpec(2, ((-2, 2),), ((-1, 1), (0, 1)))),  # r = 1
+], ids=["31P3", "22P3", "pencil"])
+def test_chain_saturation_contains_its_seeds_and_is_invariant(sysm):
+    from gitpol.embedding import _chain_saturate, chain_invariant
+
+    big = build_big(sysm)
+    rng = random.Random(11)
+    r = sysm.r
+
+    def random_basis(dim):
+        cols = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
+        return stack_columns(cols, dim).column_space_basis()
+
+    not_invariant = 0
+    for k in range(4):
+        bw = zeta(big, random_morphism(sysm, 300 + k, 1))
+        seeds = [random_basis(d) for d in big.p + big.q]
+        sat_p, sat_q = _chain_saturate(bw, seeds[:r], seeds[r:])
+        for seed, basis in zip(seeds, sat_p + sat_q):
+            assert not seed.ncols or basis.in_column_span(seed)
+        assert chain_invariant(bw, SubspaceFamily(tuple(sat_p), tuple(sat_q)))
+        # a family is invariant exactly when saturating it adds nothing; the
+        # saturated family with one space cut to zero breaks at most the link
+        # into that space
+        cuts = [sat_p + sat_q]
+        cuts += [cuts[0][:j] + [RatMatrix.zeros(basis.nrows, 0)] + cuts[0][j + 1:]
+                 for j, basis in enumerate(cuts[0])]
+        for fam in [seeds] + cuts:
+            again = _chain_saturate(bw, fam[:r], fam[r:])
+            grows = [b.ncols for b in again[0] + again[1]] != [b.ncols for b in fam]
+            assert chain_invariant(bw, SubspaceFamily(tuple(fam[:r]), tuple(fam[r:]))) != grows
+            not_invariant += grows
+    assert not_invariant

@@ -148,10 +148,26 @@ def test_random_unipotent_determinism_and_bounds():
 
 
 def test_morphism_polynomial_round_trip():
-    sysm = build_line_bundle_system(SPEC_22)
-    w = random_morphism(sysm, 20, 3)
-    again = MorphismElement.from_json(sysm, w.to_json())
-    assert again == w
+    # on SPEC_21 and SPEC_31, n_l != m_i: reading entry (t, p) as (p, t)
+    # gives a grid of the wrong shape
+    for spec in (SPEC_22, SPEC_21, SPEC_31):
+        sysm = build_line_bundle_system(spec)
+        w = random_morphism(sysm, 20, 3)
+        again = MorphismElement.from_json(sysm, w.to_json())
+        assert again == w
+
+
+def test_block_row_t_k_holds_coefficient_k_of_entry_t_p():
+    sysm = build_line_bundle_system(SPEC_21)
+    w = random_morphism(sysm, 21, 3)
+    grids = w.to_polynomials()
+    for (l, i), blk in w.blocks.items():
+        deg = SPEC_21.f[l - 1] - SPEC_21.e[i - 1]
+        h = sysm.h(l, i)
+        for t, row in enumerate(grids[l - 1][i - 1]):
+            for p, entry in enumerate(row):
+                coeffs = Poly.parse(entry, 3).coeff_vector(deg)
+                assert [blk.rows[t * h + k][p] for k in range(h)] == coeffs
 
 
 def test_polynomial_blocks_reject_wrong_degree():

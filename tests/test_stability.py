@@ -299,3 +299,43 @@ def test_graded_piece_shapes():
     assert piece.mults == ((0, 1), (2,))
     top = graded_piece(WALL_MATRIX, level1, full_family(WALL_MATRIX))
     assert top.mults == ((2, 0), (1,))
+
+
+SPEC_22P3 = ProblemSpec(3, ((-2, 1), (-1, 1)), ((0, 1), (1, 3)))
+
+
+@pytest.mark.parametrize("spec, pol", [
+    (SPEC_21P2, POL_21P2),
+    (SPEC_22P3, Polarization.make((F(1, 2), F(1, 2)), (F(1, 2), F(1, 6)), (1, 1), (1, 3))),
+], ids=["21P2", "22P3"])
+def test_h_polynomials_rebuild_the_witness_blocks(spec, pol):
+    # plant the invariant family (span e_0, 0; 0, 0) and hide it behind a
+    # unipotent move, which the search's random moves undo
+    sysm = build_line_bundle_system(spec)
+    w0 = random_morphism(sysm, 0, 1)
+    for l in range(1, sysm.s + 1):
+        for row in w0.blocks[(l, 1)].rows:
+            row[0] = 0
+    w = act(invert_group(random_unipotent(sysm, 0, 1)), w0)
+    verdict = destabilizer_search(w, pol, budget=200, seed=0)
+    h = verdict.witness_h
+    assert verdict.status == UNSTABLE
+    assert any(not blk.is_zero() for blk in (*h.u.values(), *h.v.values()))
+    rendered = verdict.to_json()["witness"]["h_polynomials"]
+    nv = spec.ambient_dim + 1
+    m, n = sysm.m, sysm.n
+    sides = (("u", h.u, m, spec.e, sysm.a), ("v", h.v, n, spec.f, sysm.b))
+    for side, blocks, mults, twists, inner in sides:
+        assert set(rendered[side]) == {f"{j},{i}" for (j, i), blk in blocks.items()
+                                       if not blk.is_zero()}
+        for key, grid in rendered[side].items():
+            j, i = map(int, key.split(","))
+            d = inner(j, i)
+            # row (t, k) of the block holds coefficient k of entry (t, p)
+            rows = [[0] * mults[i - 1] for _ in range(mults[j - 1] * d)]
+            for t, row in enumerate(grid):
+                for p, entry in enumerate(row):
+                    coeffs = Poly.parse(entry, nv).coeff_vector(twists[j - 1] - twists[i - 1])
+                    for k, c in enumerate(coeffs):
+                        rows[t * d + k][p] = c
+            assert RatMatrix(len(rows), mults[i - 1], rows) == blocks[(j, i)]
