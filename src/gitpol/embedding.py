@@ -8,9 +8,9 @@ the image is decided by exact rank equalities and factorization tests (a map
 factors through a surjection iff it kills the kernel, through an injection iff
 its image fits).
 
-Every map here is built from the pairing tensors with `exact.permute` (a
-reindexing of tensor axes), `exact.block_matrix` and Kronecker factors with
-an identity, never with a hand-written index loop.
+Every fixed map here is built from the pairing tensors with `exact.permute`
+(a reindexing of tensor axes), `exact.block_matrix` and Kronecker factors
+with an identity, never with a hand-written index loop.
 
 The block (l, i) of gamma(w) (rows N_l (x) B*_sl, columns M_i (x) A_i1 (x)
 H_s1) depends on the block phi_li of w alone, through the structure matrix
@@ -23,14 +23,29 @@ I_{n_l} (x) T_li (x) I_{m_i}.  Different blocks write disjoint coordinates, so
 rank(w -> gamma(w)) = sum n_l m_i rank T_li, while dim W = sum n_l m_i h_li:
 gamma is injective exactly when every T_li has rank h_li, which is what
 `gamma_injectivity_check` tests.
+
+The maps that depend only on the setting are factored once, in `build_big`,
+and kept on the `BigSetting`, so a call of `zeta` or `z_membership` is a few
+structured products over the data of w (factor once, solve many):
+
+- `zeta` adds the nonzeros of each T_li (`BigSetting.gamma_terms`) into one
+  gamma grid, in one pass over the nonzeros of w.
+- Each factorization test solves against a fixed map I (x) T or T (x) I, up
+  to a row permutation, kept as a `FixedMap` in `BigSetting.fixed`: the
+  small factor T with a matrix that sends every c in the image to the
+  solution whose free variables are 0, applied blockwise by the vec trick
+  (Van Loan 2000).  The rref is unique, so that is the solution
+  `RatMatrix.solve_right` gives on the full map, and every output is
+  unchanged.  Each solution is still checked by multiplying back, which
+  rejects a c outside the image.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, product
 
 from .exact import (ZERO, RatMatrix, block_matrix, identity_kron_mul, kron,
                     kron_identity_mul, kron_identity_right, mul_identity_kron,
@@ -42,6 +57,67 @@ from .stability import (NO_DESTABILIZER_FOUND, NOT_STABLE, UNSTABLE,
                         StabilityVerdict, SubspaceFamily)
 
 
+def _pivot_inverse(t: RatMatrix) -> RatMatrix:
+    """The matrix e with e @ t = rref(t) up to the order of its rows: row p_r
+    of e, p_r the r-th pivot column of rref(t), is row r of a matrix E with
+    E @ t = the top rank rows of rref(t), and the other rows of e are 0.
+
+    E comes from rref([B | I_k]) on k independent rows B of t, never from
+    rref([t | I]): for a tall t that grid would be as large as t's row count
+    squared.
+    """
+    rows = t.transpose().rref()[1]
+    k = len(rows)
+    red, pivots = t.submatrix(rows, range(t.ncols)).hstack(RatMatrix.identity(k)).rref()
+    e = [[0] * t.nrows for _ in range(t.ncols)]
+    for r, pc in enumerate(pivots):
+        for j, g in zip(rows, red.rows[r][t.ncols:]):
+            e[pc][j] = g
+    return RatMatrix(t.ncols, t.nrows, e)
+
+
+@dataclass(frozen=True)
+class FixedMap:
+    """A map that a factorization test solves against, factored once.
+
+    The map is I_n (x) t, or t (x) I_n when `t_first`; `solve(c)` finds X
+    with map @ X = c, or with X @ map = c when `left` (for I_n (x) t only).
+
+    For map @ X = c, `e` is `_pivot_inverse(t)`, and (I_n (x) e) @ c (or
+    (e (x) I_n) @ c) is, for every c in the image, the solution whose free
+    variables are 0: rref(I_n (x) t) = I_n (x) rref(t), likewise for
+    t (x) I_n, and the rref is unique, so that is exactly what
+    `RatMatrix.solve_right` returns.  A left solve is the right solve of the
+    transposes, so its `e` is the transpose of `_pivot_inverse(t^T)`.  For c
+    outside the image, multiplying back fails and `solve` returns None.
+    """
+
+    t: RatMatrix
+    n: int
+    e: RatMatrix
+    t_first: bool = False
+    left: bool = False
+
+    @staticmethod
+    def of(t: RatMatrix, n: int, t_first: bool = False, left: bool = False) -> "FixedMap":
+        e = _pivot_inverse(t.transpose()).transpose() if left else _pivot_inverse(t)
+        return FixedMap(t, n, e, t_first, left)
+
+    def apply(self, x: RatMatrix, b: RatMatrix) -> RatMatrix:
+        """b @ (I_n (x) x) when `left`, else (I_n (x) x) @ b, or (x (x) I_n) @ b
+        when `t_first`."""
+        if self.left:
+            return mul_identity_kron(b, self.n, x)
+        if self.t_first:
+            return kron_identity_mul(x, self.n, b)
+        return identity_kron_mul(self.n, x, b)
+
+    def solve(self, c: RatMatrix) -> RatMatrix | None:
+        """The solution with free variables 0, or None when there is none."""
+        x = self.apply(self.e, c)
+        return x if self.apply(self.t, x) == c else None
+
+
 @dataclass
 class BigSetting:
     system: CompositionSystem
@@ -50,6 +126,8 @@ class BigSetting:
     xi: dict          # i -> p_{i-1} x (p_i * a(i,i-1)),  i = 2..r
     eta: dict         # l -> q_l x (q_{l+1} * b(l+1,l)),  l = 1..s-1
     t: dict           # (l, i) -> T_li, (b(s,l) * h(s,1) * a(i,1)) x h(l,i)
+    gamma_terms: dict  # (l, i) -> per k_i, the (d, c * h(s,1) + ks, T_li entry) nonzeros
+    fixed: dict       # factorization test key -> FixedMap
 
     def p_sizes(self, i: int) -> list[int]:
         """Sizes of the blocks M_j (x) A_ji, j = i..r, of P_i."""
@@ -79,7 +157,7 @@ def _bh_by_rows(sys: CompositionSystem, l: int) -> RatMatrix:
 
 def build_big(sys: CompositionSystem) -> BigSetting:
     p, q = big_dims(sys)
-    big = BigSetting(sys, p, q, {}, {}, {})
+    big = BigSetting(sys, p, q, {}, {}, {}, {}, {})
     for i in range(2, sys.r + 1):
         a_step = sys.a(i, i - 1)
         # block j of P_i maps to block j of P_{i-1} through A_{i,i-1} (x) A_ji -> A_{j,i-1}
@@ -97,32 +175,50 @@ def build_big(sys: CompositionSystem) -> BigSetting:
                                   permute(sys.comp_bb[(l + 1, l, m)], (sys.b(l + 1, m),),
                                           (b_step, sys.b(l, m)), (2,), (0, 1)))
              for m in range(1, l + 1)})
-    for l in range(1, sys.s + 1):
+    s, h_s1 = sys.s, sys.h(sys.s, 1)
+    for l in range(1, s + 1):
         bh = _bh_by_rows(sys, l)
         for i in range(1, sys.r + 1):
-            big.t[(l, i)] = permute(bh * sys.comp_ha[(l, i, 1)],
-                                    (sys.b(sys.s, l), sys.h(sys.s, 1)),
-                                    (sys.h(l, i), sys.a(i, 1)), (0, 1, 3), (2,))
+            dims = (sys.b(s, l), h_s1, sys.a(i, 1))
+            t_li = permute(bh * sys.comp_ha[(l, i, 1)], dims[:2], (sys.h(l, i), dims[2]),
+                           (0, 1, 3), (2,))
+            big.t[(l, i)] = t_li
+            # T_li with rows ki and columns (d, c, ks), as the nonzeros zeta adds up
+            by_ki = permute(t_li, dims, (sys.h(l, i),), (3,), (0, 2, 1))
+            big.gamma_terms[(l, i)] = [[(*divmod(j, dims[2] * h_s1), v)
+                                        for j, v in compress(enumerate(row), row)]
+                                       for row in by_ki.rows]
+    _factor_fixed_maps(big)
     return big
 
 
 def zeta(big: BigSetting, w: MorphismElement) -> BigElement:
-    """The embedding: canonical chain maps plus the assembled gamma block."""
+    """The embedding: canonical chain maps plus the assembled gamma block.
+
+    One pass over the nonzeros of w: the entry phi_li[(t, ki), pp] adds
+    T_li[(d, ks, c), ki] phi_li[(t, ki), pp] at row (t, d) of block row l and
+    column (pp, c, ks) of block column i of gamma.
+    """
     sys = big.system
     if w.mults != (sys.m, sys.n):
         raise SchemaError("the embedding is defined at the system multiplicities")
-    blocks = {}
-    for (l, i), t_li in big.t.items():
-        phi = w.block(l, i)
-        if phi.is_zero():
-            continue
-        n_l, m_i = sys.n[l - 1], sys.m[i - 1]
-        flat = permute(phi, (n_l, sys.h(l, i)), (m_i,), (1,), (0, 2))   # ki x (t, pp)
-        blocks[(l - 1, i - 1)] = permute(
-            t_li * flat, (sys.b(sys.s, l), sys.h(sys.s, 1), sys.a(i, 1)), (n_l, m_i),
-            (3, 0), (4, 2, 1))                                          # (t, d) x (pp, c, ks)
-    gamma = block_matrix(big.q_sizes(sys.s), [d * sys.h(sys.s, 1) for d in big.p_sizes(1)],
-                         blocks)
+    h_s1 = sys.h(sys.s, 1)
+    row_off = list(accumulate(big.q_sizes(sys.s), initial=0))
+    col_off = [h_s1 * c for c in accumulate(big.p_sizes(1), initial=0)]
+    grid = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    for (l, i), terms in big.gamma_terms.items():
+        b_sl, h_li, width = sys.b(sys.s, l), sys.h(l, i), sys.a(i, 1) * h_s1
+        for r, row in enumerate(w.block(l, i).rows):
+            t, ki = divmod(r, h_li)
+            if not terms[ki]:
+                continue
+            r0 = row_off[l - 1] + t * b_sl
+            out = grid[r0:r0 + b_sl]
+            for pp, v in compress(enumerate(row), row):
+                c0 = col_off[i - 1] + pp * width
+                for d, c, tau in terms[ki]:
+                    out[d][c0 + c] += tau * v
+    gamma = RatMatrix(row_off[-1], col_off[-1], grid)
     return BigElement(big, dict(big.xi), gamma, dict(big.eta))
 
 
@@ -191,21 +287,38 @@ def big_act(big: BigSetting, th: tuple[list[RatMatrix], list[RatMatrix]],
 # ----------------------------------------------------------------------
 
 
-def _factor_through_surjection(c: RatMatrix, pi: RatMatrix) -> RatMatrix | None:
-    """X with X @ pi = c, when c kills the kernel of the surjection pi."""
-    sol = pi.transpose().solve_right(c.transpose())
-    if sol is None:
-        return None
-    x = sol.transpose()
-    return x if (x * pi) == c else None
-
-
-def _factor_through_injection(c: RatMatrix, iota: RatMatrix) -> RatMatrix | None:
-    """X with iota @ X = c, when the image of c fits inside that of iota."""
-    sol = iota.solve_right(c)
-    if sol is None:
-        return None
-    return sol if (iota * sol) == c else None
+def _factor_fixed_maps(big: BigSetting) -> None:
+    """Factor, once, the maps the factorization tests of `z_membership` solve
+    against, keyed by the name of the test.  Each is I (x) T or T (x) I up
+    to a row permutation; a surjection M is a left test X @ M = c."""
+    sys = big.system
+    s, h_s1 = sys.s, sys.h(sys.s, 1)
+    fixed = big.fixed
+    for i in range(3, sys.r + 1):
+        # pi : P_i (x) A_{i,i-1} (x) ... (x) A_21 -> P_i (x) A_i1 is I (x) tau
+        fixed[f"chain_left[{i}]"] = FixedMap.of(_chain_tau_a(sys, i), big.p[i - 1], left=True)
+    for l in range(1, s - 1):
+        # iota : B*_sl (x) Q_l -> B*_{s,s-1} (x) ... (x) B*_{l+1,l} (x) Q_l is tau^T (x) I
+        fixed[f"chain_right[{l}]"] = FixedMap.of(_chain_tau_b(sys, l).transpose(),
+                                                 big.q[l - 1], t_first=True)
+    for i in range(2, sys.r + 1):
+        # sigma : P_i (x) A_i1 (x) H*_s1 -> P_i (x) H*_si
+        contraction = induced_contraction_right(sys.comp_ha[(s, i, 1)], sys.h(s, i),
+                                                sys.a(i, 1), h_s1)
+        fixed[f"gamma_left[{i}]"] = FixedMap.of(contraction, big.p[i - 1], left=True)
+    for l in range(1, s):
+        # iota : Q_l (x) H_l1 -> B*_sl (x) Q_l (x) H_s1 is, with its rows in the
+        # order (Q_l, B*_sl, H_s1), I (x) comp_bh[(s,l,1)]
+        fixed[f"gamma_right[{l}]"] = FixedMap.of(_bh_by_rows(sys, l), big.q[l - 1])
+        for i in range(2, sys.r + 1):
+            # sigma : P_i (x) H*_si (x) B_sl -> P_i (x) H*_li
+            fixed[f"mixed[{l},{i}]"] = FixedMap.of(
+                permute(sys.comp_bh[(s, l, i)], (sys.h(s, i),), (sys.b(s, l), sys.h(l, i)),
+                        (2,), (0, 1)), big.p[i - 1], left=True)
+            # iota : Q_l (x) H_li -> Q_l (x) H_l1 (x) A*_i1
+            fixed[f"mixed_dual[{l},{i}]"] = FixedMap.of(
+                permute(sys.comp_ha[(l, i, 1)], (sys.h(l, 1),), (sys.h(l, i), sys.a(i, 1)),
+                        (0, 2), (1,)), big.q[l - 1])
 
 
 def _chain_tau_a(sys: CompositionSystem, i: int) -> RatMatrix:
@@ -270,6 +383,11 @@ def z_membership(bw: BigElement) -> ZReport:
         if have < want:
             rank_defect = True
 
+    def factor(key: str, c: RatMatrix) -> RatMatrix | None:
+        sol = big.fixed[key].solve(c)
+        fact_ok[key] = sol is not None
+        return sol
+
     x1: dict = {}
     if sys.r >= 2:
         x1[2] = bw.x[2]
@@ -278,9 +396,7 @@ def z_membership(bw: BigElement) -> ZReport:
     for i in range(3, sys.r + 1):
         composite = mul_kron_identity(composite, bw.x[i], tdim)
         tdim *= sys.a(i, i - 1)
-        pi_map = kron(RatMatrix.identity(big.p[i - 1]), _chain_tau_a(sys, i))
-        sol = _factor_through_surjection(composite, pi_map)
-        fact_ok[f"chain_left[{i}]"] = sol is not None
+        sol = factor(f"chain_left[{i}]", composite)
         if sol is not None:
             x1[i] = sol
 
@@ -294,20 +410,16 @@ def z_membership(bw: BigElement) -> ZReport:
     for l in range(sys.s - 2, 0, -1):
         down = identity_kron_mul(prefix, _reshape_y(big, l, bw.y[l]), down)
         prefix *= sys.b(l + 1, l)
-        iota = kron_identity_right(_chain_tau_b(sys, l).transpose(), big.q[l - 1])
-        sol = _factor_through_injection(down, iota)
-        fact_ok[f"chain_right[{l}]"] = sol is not None
+        sol = factor(f"chain_right[{l}]", down)
         if sol is not None:
             y_ls[l] = sol
 
+    h_s1 = sys.h(sys.s, 1)
     gamma_si: dict = {}
     for i in range(2, sys.r + 1):
         if i not in x1:
             continue
-        composite_g = mul_kron_identity(bw.gamma, x1[i], sys.h(sys.s, 1))
-        sigma = _sigma_ah(sys, big, i)
-        sol = _factor_through_surjection(composite_g, sigma)
-        fact_ok[f"gamma_left[{i}]"] = sol is not None
+        sol = factor(f"gamma_left[{i}]", mul_kron_identity(bw.gamma, x1[i], h_s1))
         if sol is not None:
             gamma_si[i] = sol
 
@@ -316,10 +428,11 @@ def z_membership(bw: BigElement) -> ZReport:
     for l in range(1, sys.s):
         if l not in y_ls:
             continue
-        comp = kron_identity_mul(y_ls[l], sys.h(sys.s, 1), gamma_resh)
-        iota = _iota_bh(sys, big, l)
-        sol = _factor_through_injection(comp, iota)
-        fact_ok[f"gamma_right[{l}]"] = sol is not None
+        # y_ls with rows (Q_l, B*_sl), so that the composite has the row order
+        # of its fixed map
+        y_qb = permute(y_ls[l], (sys.b(sys.s, l), big.q[l - 1]), (big.q[sys.s - 1],),
+                       (1, 0), (2,))
+        sol = factor(f"gamma_right[{l}]", kron_identity_mul(y_qb, h_s1, gamma_resh))
         if sol is not None:
             gamma_l1[l] = sol
 
@@ -327,19 +440,15 @@ def z_membership(bw: BigElement) -> ZReport:
         for i in range(2, sys.r + 1):
             if l not in y_ls or i not in gamma_si:
                 continue
-            comp = mul_kron_identity(_ytilde(sys, big, l, y_ls[l]), gamma_si[i],
-                                     sys.b(sys.s, l))
-            sigma = _sigma_bh_mixed(sys, big, l, i)
-            fact_ok[f"mixed[{l},{i}]"] = _factor_through_surjection(comp, sigma) is not None
+            factor(f"mixed[{l},{i}]", mul_kron_identity(_ytilde(sys, big, l, y_ls[l]),
+                                                         gamma_si[i], sys.b(sys.s, l)))
 
     for l in range(1, sys.s):
         for i in range(2, sys.r + 1):
             if l not in gamma_l1 or i not in x1:
                 continue
-            comp = kron_identity_mul(gamma_l1[l], sys.a(i, 1),
-                                     _reshape_x1(big, sys, i, x1[i]))
-            iota = _iota_ha_mixed(sys, big, l, i)
-            fact_ok[f"mixed_dual[{l},{i}]"] = _factor_through_injection(comp, iota) is not None
+            factor(f"mixed_dual[{l},{i}]", kron_identity_mul(
+                gamma_l1[l], sys.a(i, 1), _reshape_x1(big, sys, i, x1[i])))
 
     all_fact = all(fact_ok.values())
     all_rank = all(rank_ok.values())
@@ -382,39 +491,6 @@ def _chain_tau_b(sys: CompositionSystem, l: int) -> RatMatrix:
         step = sys.comp_bb[(s, k + 1, k)]
         tau = mul_kron_identity(step, tau, sys.b(k + 1, k))
     return tau
-
-
-def _sigma_ah(sys: CompositionSystem, big: BigSetting, i: int) -> RatMatrix:
-    """Surjection P_i (x) A_i1 (x) H*_s1 -> P_i (x) H*_si."""
-    s = sys.s
-    return kron(RatMatrix.identity(big.p[i - 1]),
-                induced_contraction_right(sys.comp_ha[(s, i, 1)], sys.h(s, i),
-                                          sys.a(i, 1), sys.h(s, 1)))
-
-
-def _sigma_bh_mixed(sys: CompositionSystem, big: BigSetting, l: int,
-                    i: int) -> RatMatrix:
-    """Surjection P_i (x) H*_si (x) B_sl -> P_i (x) H*_li."""
-    s = sys.s
-    return kron(RatMatrix.identity(big.p[i - 1]),
-                permute(sys.comp_bh[(s, l, i)], (sys.h(s, i),), (sys.b(s, l), sys.h(l, i)),
-                        (2,), (0, 1)))
-
-
-def _iota_bh(sys: CompositionSystem, big: BigSetting, l: int) -> RatMatrix:
-    """Injection Q_l (x) H_l1 -> B*_sl (x) Q_l (x) H_s1."""
-    qdim = big.q[l - 1]
-    return permute(kron(RatMatrix.identity(qdim), _bh_by_rows(sys, l)),
-                   (qdim, sys.b(sys.s, l), sys.h(sys.s, 1)), (qdim, sys.h(l, 1)),
-                   (1, 0, 2), (3, 4))
-
-
-def _iota_ha_mixed(sys: CompositionSystem, big: BigSetting, l: int,
-                   i: int) -> RatMatrix:
-    """Injection Q_l (x) H_li -> Q_l (x) H_l1 (x) A*_i1."""
-    return kron(RatMatrix.identity(big.q[l - 1]),
-                permute(sys.comp_ha[(l, i, 1)], (sys.h(l, 1),), (sys.h(l, i), sys.a(i, 1)),
-                        (0, 2), (1,)))
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +554,7 @@ def big_destabilizer_search(bw: BigElement, assoc: AssociatedPolarization,
             wall = StabilityVerdict(NOT_STABLE, None, fam, delta, used)
         return None
 
-    for flags in itertools.product((False, True), repeat=sys.r + sys.s):
+    for flags in product((False, True), repeat=sys.r + sys.s):
         seeds_p = [RatMatrix.identity(big.p[i]) if flags[i]
                    else RatMatrix.zeros(big.p[i], 0) for i in range(sys.r)]
         seeds_q = [RatMatrix.identity(big.q[l]) if flags[sys.r + l]

@@ -381,6 +381,9 @@ class MorphismElement:
         if spec is None:
             raise SchemaError("polynomial input requires a line-bundle system")
         nv = spec.ambient_dim + 1
+        if len(blocks) != system.s or any(len(row) != system.r for row in blocks):
+            raise SchemaError(f"the polynomial blocks do not form a {system.s} x {system.r} "
+                              "grid (one row per right summand, one block per left summand)")
         out = {}
         for l in range(1, system.s + 1):
             for i in range(1, system.r + 1):

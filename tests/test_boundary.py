@@ -123,3 +123,21 @@ def test_fine_moduli_datum_reads_a_string_n(tmp_path):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(dict(DATUM, n="2")))
     assert main(["fine-moduli", "--datum", str(path), "--out", str(tmp_path / "o.json")]) == 0
+
+
+@pytest.mark.parametrize("grow", ["extra-row", "extra-column"])
+def test_extra_blocks_in_a_morphism_file_are_an_input_error(grow, files, tmp_path, capsys):
+    blocks = [list(row) for row in MORPH_21["blocks"]]
+    if grow == "extra-row":
+        blocks.append(list(blocks[0]))
+    else:
+        blocks[0].append(blocks[0][0])
+    sysm = build_line_bundle_system(ProblemSpec.from_json(SPEC_21P2))
+    with pytest.raises(SchemaError):
+        MorphismElement.from_json(sysm, dict(MORPH_21, blocks=blocks))
+    bad = tmp_path / "morph-bad.json"
+    bad.write_text(json.dumps(dict(MORPH_21, blocks=blocks)))
+    _assert_input_error(["stability", "--spec", files["spec"], "--pol", files["pol"],
+                         "--morphism", str(bad)], capsys)
+    _assert_input_error(["embed", "--spec", files["spec"], "--check", "zmember",
+                         "--morphism", str(bad)], capsys)

@@ -341,3 +341,36 @@ def test_chain_saturation_contains_its_seeds_and_is_invariant(sysm):
             assert chain_invariant(bw, SubspaceFamily(tuple(fam[:r]), tuple(fam[r:]))) != grows
             not_invariant += grows
     assert not_invariant
+
+
+# s = 3: the only shapes on which z_membership runs its chain-right test
+SYS_13 = build_line_bundle_system(ProblemSpec(2, ((-1, 1),), ((0, 1), (1, 1), (2, 1))))
+SYS_23 = build_line_bundle_system(ProblemSpec(2, ((-2, 1), (-1, 1)),
+                                              ((0, 1), (1, 1), (2, 1))))
+
+
+@pytest.mark.parametrize("sysm", [SYS_13, SYS_23], ids=["r1s3", "r2s3"])
+def test_z_membership_chain_right_branch(sysm):
+    big = build_big(sysm)
+    for k in range(3):
+        w = random_morphism(sysm, 500 + k, 2)
+        bw = zeta(big, w)
+        rep = z_membership(bw)
+        assert rep.status == "in_Z"
+        assert rep.factorization_ok["chain_right[1]"]
+        g = compose_group(random_reductive(sysm, 510 + k), random_unipotent(sysm, 520 + k, 2))
+        lhs = zeta(big, act(g, w))
+        rhs = big_act(big, theta(big, g), bw)
+        assert lhs.gamma == rhs.gamma
+        assert all(lhs.x[i] == rhs.x[i] for i in lhs.x)
+        assert all(lhs.y[l] == rhs.y[l] for l in lhs.y)
+        # a perturbed y[1] no longer factors through the chain
+        pert = RatMatrix.from_rows([list(r) for r in bw.y[1].rows])
+        pert.rows[0][0] += 1
+        rep = z_membership(BigElement(big, dict(bw.x), bw.gamma, {**bw.y, 1: pert}))
+        assert rep.status == "outside"
+        assert not rep.factorization_ok["chain_right[1]"]
+        for l in bw.y:
+            zero = RatMatrix.zeros(*bw.y[l].shape)
+            rep = z_membership(BigElement(big, dict(bw.x), bw.gamma, {**bw.y, l: zero}))
+            assert rep.status == "boundary"
